@@ -1,7 +1,11 @@
 """Fixpoint labeling engine.
 
-Denotations are computed bottom-up over the subformula order.  The
-temporal operators are the classical fixpoints over R applied to the
+:func:`evaluate` runs a compiled :class:`~ictl.syntax.Program` over a
+model, bottom-up through its node table, and :func:`denote` is that run
+keyed by subformula.  A search that checks one formula on many models
+compiles it once and calls :func:`evaluate` per model.
+
+The temporal operators are the classical fixpoints over R applied to the
 (already intuitionistic) subformula denotations; the universal ones are
 then restricted to the worlds whose whole up-set qualifies, which keeps
 every computed set upward-closed on valid frames:
@@ -39,9 +43,10 @@ from .model import (
 )
 from .oracle import Lasso
 from .syntax import (
-    And,
-    Atom,
-    Bottom,
+    _AND,
+    _ATOM,
+    _IMP,
+    _OR,
     ExistsNext,
     ExistsRelease,
     ExistsUntil,
@@ -49,14 +54,14 @@ from .syntax import (
     ForallRelease,
     ForallUntil,
     Formula,
-    Implies,
-    Or,
-    subformulas,
+    Program,
+    compile_formulas,
 )
 
 __all__ = [
     "lfp",
     "gfp",
+    "evaluate",
     "denote",
     "check",
     "valid_in_model",
@@ -92,7 +97,7 @@ def gfp(f: Callable[[int], int], top: int) -> int:
         z = nz
 
 
-# Per-operator set transformers.  ``denote`` dispatches through these
+# Per-operator set transformers.  ``evaluate`` dispatches through these
 # module-level names so tests can stub individual rules.
 
 def implication_set(m: BirelationalModel, a: int, b: int) -> int:
@@ -123,45 +128,52 @@ def forall_release_set(m: BirelationalModel, a: int, b: int) -> int:
     return up_interior(m, gfp(lambda z: b & (a | pre_forall(m, z)), m.full))
 
 
+def evaluate(m: BirelationalModel, program: Program) -> list[int]:
+    """Denotation bitmask of every node of ``program``, in table order.
+
+    The operator rules are read from this module's globals when the call
+    starts, so a stubbed ``checker.<op>_set`` is the one that runs.  The
+    model is not validated.
+    """
+    ops = (None,) * _IMP + (
+        implication_set,
+        exists_next_set,
+        forall_next_set,
+        exists_until_set,
+        exists_release_set,
+        forall_until_set,
+        forall_release_set,
+    )
+    atoms = program.atom_slots
+    vals: list[int] = []
+    push = vals.append
+    for kind, l, r in program.nodes:
+        if kind >= _IMP:
+            push(ops[kind](m, vals[l]) if r < 0 else ops[kind](m, vals[l], vals[r]))
+        elif kind == _AND:
+            push(vals[l] & vals[r])
+        elif kind == _OR:
+            push(vals[l] | vals[r])
+        elif kind == _ATOM:
+            push(m.atom_mask(atoms[l]))
+        else:  # _BOT
+            push(0)
+    return vals
+
+
 def denote(
     m: BirelationalModel, f: Formula, *, validate: bool = True
 ) -> dict[Formula, int]:
-    """Denotation bitmask for every distinct subformula of ``f``.
+    """Denotation bitmask for every distinct subformula of ``f``, in
+    :func:`~ictl.syntax.subformulas` order.
 
     ``validate=False`` skips frame validation for callers that already
     guarantee a valid model (generators, bulk scans).
     """
     if validate:
         ensure_valid(m)
-    sets: dict[Formula, int] = {}
-    for g in subformulas(f):
-        match g:
-            case Atom(name):
-                v = m.atom_mask(name)
-            case Bottom():
-                v = 0
-            case And(l, r):
-                v = sets[l] & sets[r]
-            case Or(l, r):
-                v = sets[l] | sets[r]
-            case Implies(l, r):
-                v = implication_set(m, sets[l], sets[r])
-            case ExistsNext(s):
-                v = exists_next_set(m, sets[s])
-            case ForallNext(s):
-                v = forall_next_set(m, sets[s])
-            case ExistsUntil(l, r):
-                v = exists_until_set(m, sets[l], sets[r])
-            case ExistsRelease(l, r):
-                v = exists_release_set(m, sets[l], sets[r])
-            case ForallUntil(l, r):
-                v = forall_until_set(m, sets[l], sets[r])
-            case ForallRelease(l, r):
-                v = forall_release_set(m, sets[l], sets[r])
-            case _:
-                raise TypeError(f"not a formula: {g!r}")
-        sets[g] = v
-    return sets
+    program = compile_formulas([f])
+    return dict(zip(program.formulas, evaluate(m, program)))
 
 
 def valid_in_model(m: BirelationalModel, f: Formula, *, validate: bool = True) -> bool:

@@ -39,7 +39,7 @@ from .model import (
     validate_frame,
 )
 from .oracle import Lasso, oracle_check
-from .syntax import ParseError, parse_formula, print_formula, subformulas
+from .syntax import ParseError, parse_formula, print_formula
 
 COMPARE_FORMULAS_PER_RUN = 24
 
@@ -153,11 +153,10 @@ def _cmd_denote(args) -> tuple[int, dict, list[str]]:
     m = _read_model(args.model)
     ensure_valid(m)
     f = parse_formula(args.formula)
-    sets = denote(m, f, validate=False)
     entries = []
     lines = []
-    for g in subformulas(f):
-        names = sorted(m.names(sets[g]))
+    for g, mask in denote(m, f, validate=False).items():
+        names = sorted(m.names(mask))
         entries.append({"formula": print_formula(g), "worlds": names})
         lines.append(f"{print_formula(g)}: {{{', '.join(names)}}}")
     doc = {"verdict": None, "witness": None, "report": entries}
@@ -314,6 +313,9 @@ def main(argv: list[str] | None = None) -> int:
         code, doc, lines, is_error = 2, {"error": str(msg)}, [f"error: {msg}"], True
     except OSError as e:
         code, doc, lines, is_error = 2, {"error": str(e)}, [f"error: {e}"], True
+    except RecursionError as e:
+        msg = f"input nested too deeply: {e}"
+        code, doc, lines, is_error = 2, {"error": msg}, [f"error: {msg}"], True
     except InvalidModelError as e:
         report = [
             {"rule": v.rule, "witness": list(v.witness), "message": v.message}

@@ -14,17 +14,20 @@ Three ways to produce valid models:
 :func:`find_countermodel` scans the exhaustive stream (then random
 samples, if given a budget) for a model and world refuting a formula,
 double-checking any hit against the path oracle before returning it.
+It compiles the formula once into a :class:`~ictl.syntax.Program`, with
+its atoms bound to the generators' atom slots, and runs
+:func:`~ictl.checker.evaluate` per model.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .checker import denote
+from .checker import evaluate
 from .model import BirelationalModel, _close_masks, iter_bits
 from .oracle import oracle_check
 from .syntax import (
@@ -40,7 +43,7 @@ from .syntax import (
     Formula,
     Implies,
     Or,
-    atoms_of,
+    compile_formulas,
 )
 
 __all__ = [
@@ -344,14 +347,24 @@ class SearchResult:
         return self.outcome == "countermodel"
 
 
-def _search_atoms(f: Formula, a: int) -> list[str]:
-    names = sorted(atoms_of(f))
+def _search_atoms(atoms: Iterable[str], a: int) -> dict[str, str]:
+    """Each search atom with the generators' atom (an :func:`atom_names`
+    slot) that stands for it.
+
+    The search atoms are ``atoms`` sorted, padded to ``a`` from the pool.
+    An atom that names a slot keeps it, so formulas over the generators'
+    own atoms see the models unrenamed; the others take the free slots in
+    order.
+    """
+    names = sorted(atoms)
     for extra in _ATOM_POOL:
         if len(names) >= a:
             break
         if extra not in names:
             names.append(extra)
-    return names
+    slots = atom_names(len(names))
+    free = iter([s for s in slots if s not in names])
+    return {x: x if x in slots else next(free) for x in names}
 
 
 def find_countermodel(
@@ -365,19 +378,24 @@ def find_countermodel(
 
     Scans every valid model up to ``max_worlds`` worlds (complete, so the
     ``exhausted`` outcome is a proof of validity within the bounds), then
-    up to ``budget`` random models of larger sizes.  Hits are verified
-    with the path oracle; a verdict mismatch raises
+    up to ``budget`` random models of larger sizes.  ``f`` is compiled
+    once, with its atoms bound to the generators' atom slots, and
+    evaluated on each model; only a hit is renamed to ``f``'s atoms.  Hits
+    are verified with the path oracle; a verdict mismatch raises
     :class:`EngineDisagreementError` rather than returning a bogus model.
     """
-    names = _search_atoms(f, atoms)
+    program = compile_formulas([f])
+    slots = _search_atoms(program.atom_slots, atoms)
+    program = replace(program, atom_slots=[slots[a] for a in program.atom_slots])
+    names = list(slots)
     bounds = {"max_worlds": max_worlds, "atoms": names, "budget": budget, "seed": seed}
     checked = 0
     for n in range(1, max_worlds + 1):
         for m in enumerate_models(n, len(names)):
             checked += 1
-            hit = _refuting_world(m, f)
-            if hit is not None:
-                return SearchResult("countermodel", m, hit, checked, bounds)
+            mask = evaluate(m, program)[-1]
+            if mask != m.full:
+                return _countermodel(f, m, mask, slots, checked, bounds)
     if budget <= 0:
         return SearchResult("exhausted", None, None, checked, bounds)
     rng = random.Random(seed)
@@ -387,24 +405,29 @@ def find_countermodel(
             n_worlds=n, n_atoms=len(names), seed=rng.getrandbits(63), edge_density=0.3
         )
         m = random_model(params)
-        m = BirelationalModel(m.worlds, m.up, m.succ, dict(zip(names, (m.val[a] for a in m.atoms))))
         checked += 1
-        hit = _refuting_world(m, f)
-        if hit is not None:
-            return SearchResult("countermodel", m, hit, checked, bounds)
+        mask = evaluate(m, program)[-1]
+        if mask != m.full:
+            return _countermodel(f, m, mask, slots, checked, bounds)
     return SearchResult("budget_exceeded", None, None, checked, bounds)
 
 
-def _refuting_world(m: BirelationalModel, f: Formula) -> str | None:
-    mask = denote(m, f, validate=False)[f]
-    if mask == m.full:
-        return None
+def _countermodel(
+    f: Formula,
+    m: BirelationalModel,
+    mask: int,
+    slots: dict[str, str],
+    checked: int,
+    bounds: dict,
+) -> SearchResult:
+    """The hit ``m`` renamed to ``f``'s atoms, once the oracle confirms it."""
+    m = BirelationalModel(m.worlds, m.up, m.succ, {a: m.val[s] for a, s in slots.items()})
     world = m.worlds[next(iter_bits(m.full & ~mask))]
     if oracle_check(m, world, f, validate=False):
         raise EngineDisagreementError(
             f"engine refutes {f} at {world} of {m!r} but the oracle satisfies it"
         )
-    return world
+    return SearchResult("countermodel", m, world, checked, bounds)
 
 
 # ---------------------------------------------------------------------------

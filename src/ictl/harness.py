@@ -1,8 +1,10 @@
 """Differential harness: run both engines over many (model, formula) pairs.
 
-The formula battery is compiled once into a flat node table (children
-before parents).  Per model, one pass evaluates every node bottom-up
-through both engines.  Because each engine's verdict for a compound node
+The formula battery is compiled once into one
+:class:`~ictl.syntax.Program`, the flat node table (children before
+parents) that the fixpoint engine evaluates too; ``compile_battery`` is
+:func:`~ictl.syntax.compile_formulas`.  Per model, one pass evaluates
+every node bottom-up through both engines.  Because each engine's verdict for a compound node
 is a pure function of the frame and the child verdict sets, results are
 memoized per frame keyed by (operator, child masks); on a memo miss both
 engines run and their masks are compared.  Agreement on every table
@@ -19,24 +21,22 @@ from typing import Iterable, Sequence
 from . import checker, oracle
 from .model import BirelationalModel
 from .syntax import (
-    And,
-    Atom,
-    Bottom,
-    ExistsNext,
-    ExistsRelease,
-    ExistsUntil,
-    ForallNext,
-    ForallRelease,
-    ForallUntil,
+    _AND,
+    _ATOM,
+    _AR,
+    _AU,
+    _AX,
+    _ER,
+    _EU,
+    _EX,
+    _IMP,
+    _OR,
     Formula,
-    Implies,
-    Or,
-    subformulas,
+    Program,
+    compile_formulas as compile_battery,
 )
 
-__all__ = ["CompiledBattery", "compile_battery", "Disagreement", "ScanStats", "scan_models"]
-
-_ATOM, _BOT, _AND, _OR, _IMP, _EX, _AX, _EU, _ER, _AU, _AR = range(11)
+__all__ = ["compile_battery", "Disagreement", "ScanStats", "scan_models"]
 
 # dispatch is by attribute name so monkeypatched engine rules are honored
 _ENGINE_BINARY = {
@@ -55,54 +55,6 @@ _ORACLE_BINARY = {
     _AR: "forall_release_worlds",
 }
 _ORACLE_UNARY = {_EX: "exists_next_worlds", _AX: "forall_next_worlds"}
-
-_KIND = {
-    And: _AND,
-    Or: _OR,
-    Implies: _IMP,
-    ExistsNext: _EX,
-    ForallNext: _AX,
-    ExistsUntil: _EU,
-    ExistsRelease: _ER,
-    ForallUntil: _AU,
-    ForallRelease: _AR,
-}
-
-
-@dataclass
-class CompiledBattery:
-    formulas: list[Formula]
-    nodes: list[tuple[int, int, int]]  # (kind, left index, right index)
-    atom_slots: list[str]  # atom name per node where kind == _ATOM
-
-
-def compile_battery(formulas: Iterable[Formula]) -> CompiledBattery:
-    """Flatten a battery into one deduplicated node table.
-
-    Subformulas missing from the battery are added, so the table is
-    closed and every node's children precede it.
-    """
-    table: list[Formula] = []
-    index: dict[Formula, int] = {}
-    for f in formulas:
-        for g in subformulas(f):
-            if g not in index:
-                index[g] = len(table)
-                table.append(g)
-    nodes: list[tuple[int, int, int]] = []
-    atom_slots: list[str] = []
-    for g in table:
-        match g:
-            case Atom(name):
-                nodes.append((_ATOM, len(atom_slots), -1))
-                atom_slots.append(name)
-            case Bottom():
-                nodes.append((_BOT, -1, -1))
-            case ExistsNext(s) | ForallNext(s):
-                nodes.append((_KIND[type(g)], index[s], -1))
-            case _:
-                nodes.append((_KIND[type(g)], index[g.left], index[g.right]))
-    return CompiledBattery(table, nodes, atom_slots)
 
 
 @dataclass(frozen=True)
@@ -127,7 +79,7 @@ class ScanStats:
 
 def scan_models(
     models: Iterable[BirelationalModel],
-    battery: CompiledBattery | Sequence[Formula],
+    battery: Program | Sequence[Formula],
     max_disagreements: int = 5,
 ) -> ScanStats:
     """Compare engine and oracle on every battery formula at every world.
@@ -135,7 +87,7 @@ def scan_models(
     Models sharing a frame (same preorder and transition masks) share the
     memo table, so exhaustive streams grouped by frame scan quickly.
     """
-    if not isinstance(battery, CompiledBattery):
+    if not isinstance(battery, Program):
         battery = compile_battery(battery)
     nodes = battery.nodes
     n_nodes = len(nodes)
@@ -188,7 +140,7 @@ def scan_models(
 def _record(
     stats: ScanStats,
     m: BirelationalModel,
-    battery: CompiledBattery,
+    battery: Program,
     idx: int,
     kind: int,
     lv: int,

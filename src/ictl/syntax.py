@@ -14,13 +14,20 @@ The surface grammar (whitespace-insensitive between tokens)::
 
 ``~f`` is sugar for ``f -> false`` and ``true`` for ``false -> false``;
 both desugar at parse time, so the AST has no negation or truth node.
+
+Every node caches its hash when it is built, computed from its type and
+its children's cached hashes, so hashing any formula is O(1) however deep
+it is; equality stays structural.  :func:`compile_formulas` flattens
+formulas into one :class:`Program`, a table of ``(kind, left, right)``
+nodes with children before parents, which the fixpoint engine and the
+differential harness evaluate.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable
 
 __all__ = [
     "Formula",
@@ -44,6 +51,8 @@ __all__ = [
     "subformulas",
     "children",
     "atoms_of",
+    "Program",
+    "compile_formulas",
 ]
 
 ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
@@ -52,69 +61,86 @@ ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 class Formula:
     """Base class for formula nodes; concrete nodes are frozen dataclasses."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def __post_init__(self) -> None:
+        fields = tuple(getattr(self, name) for name in self.__match_args__)
+        object.__setattr__(self, "_hash", hash((type(self), fields)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, which sets _hash
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(frozen=True, slots=True)
+def _node(cls: type) -> type:
+    # an explicit __hash__ in the class body is one the dataclass keeps
+    cls.__hash__ = Formula.__hash__
+    return dataclass(frozen=True, slots=True)(cls)
+
+
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ExistsNext(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ForallNext(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ExistsUntil(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ExistsRelease(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ForallUntil(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ForallRelease(Formula):
     left: Formula
     right: Formula
@@ -166,6 +192,62 @@ def subformulas(f: Formula) -> list[Formula]:
 
 def atoms_of(f: Formula) -> set[str]:
     return {g.name for g in subformulas(f) if isinstance(g, Atom)}
+
+
+# ---------------------------------------------------------------------------
+# Compiled programs
+
+# node kinds; the operators, kind >= _IMP, are where the semantics differ
+_ATOM, _BOT, _AND, _OR, _IMP, _EX, _AX, _EU, _ER, _AU, _AR = range(11)
+
+_KIND = {
+    And: _AND,
+    Or: _OR,
+    Implies: _IMP,
+    ExistsNext: _EX,
+    ForallNext: _AX,
+    ExistsUntil: _EU,
+    ExistsRelease: _ER,
+    ForallUntil: _AU,
+    ForallRelease: _AR,
+}
+
+
+@dataclass
+class Program:
+    formulas: list[Formula]
+    nodes: list[tuple[int, int, int]]  # (kind, left index, right index)
+    atom_slots: list[str]  # atom name per node where kind == _ATOM
+
+
+def compile_formulas(formulas: Iterable[Formula]) -> Program:
+    """Flatten formulas into one deduplicated node table.
+
+    Subformulas are added, so the table is closed and every node's
+    children precede it; for a single formula the table is exactly
+    :func:`subformulas`.
+    """
+    table: list[Formula] = []
+    index: dict[Formula, int] = {}
+    for f in formulas:
+        for g in subformulas(f):
+            if g not in index:
+                index[g] = len(table)
+                table.append(g)
+    nodes: list[tuple[int, int, int]] = []
+    atom_slots: list[str] = []
+    for g in table:
+        match g:
+            case Atom(name):
+                nodes.append((_ATOM, len(atom_slots), -1))
+                atom_slots.append(name)
+            case Bottom():
+                nodes.append((_BOT, -1, -1))
+            case ExistsNext(s) | ForallNext(s):
+                nodes.append((_KIND[type(g)], index[s], -1))
+            case _:
+                nodes.append((_KIND[type(g)], index[g.left], index[g.right]))
+    return Program(table, nodes, atom_slots)
 
 
 # ---------------------------------------------------------------------------

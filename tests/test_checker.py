@@ -7,11 +7,13 @@ from helpers import (
     naive_implication,
     witness_revalidates,
 )
+import ictl.checker as checker
 from ictl.checker import (
     CheckOutcome,
     UniversalFailure,
     check,
     denote,
+    evaluate,
     gfp,
     lfp,
     valid_in_model,
@@ -24,7 +26,7 @@ from ictl.model import (
     pre_exists,
 )
 from ictl.oracle import Lasso
-from ictl.syntax import Atom, Implies, parse_formula, subformulas
+from ictl.syntax import Atom, Implies, compile_formulas, parse_formula, subformulas
 
 
 def mask(m, *names):
@@ -249,3 +251,54 @@ class TestValidInModel:
 
     def test_ex_falso(self, four_world):
         assert valid_in_model(four_world, parse_formula("false -> p"))
+
+
+class TestCompiledEvaluation:
+    def test_evaluate_matches_denote(self, four_world):
+        f = parse_formula("A[p U q] -> q | (p & AX A[p U q])")
+        program = compile_formulas([f])
+        assert evaluate(four_world, program) == list(denote(four_world, f).values())
+        assert list(denote(four_world, f)) == subformulas(f)
+
+    def test_evaluate_battery(self, four_world):
+        texts = ["E[p U q]", "AX p -> EX q", "A[q R p] | false"]
+        program = compile_formulas(parse_formula(t) for t in texts)
+        vals = dict(zip(program.formulas, evaluate(four_world, program)))
+        for t in texts:
+            f = parse_formula(t)
+            assert vals[f] == denote(four_world, f)[f]
+
+
+class TestDispatch:
+    """Every engine entry point runs the rule bound to ``checker.forall_next_set``
+    at call time, so a stubbed rule is the one exercised."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = []
+        original = checker.forall_next_set
+
+        def counting(m, a):
+            counter.append(1)
+            return original(m, a)
+
+        monkeypatch.setattr(checker, "forall_next_set", counting)
+        return counter
+
+    def test_denote(self, calls, four_world):
+        denote(four_world, parse_formula("AX p & AX AX q"))
+        assert len(calls) == 3
+
+    def test_find_countermodel(self, calls):
+        from ictl.gen import find_countermodel
+
+        result = find_countermodel(parse_formula("AX p -> p"), max_worlds=1)
+        assert result.outcome == "exhausted"
+        assert len(calls) == result.models_checked == 4
+
+    def test_scan_models(self, calls):
+        from ictl.harness import scan_models
+
+        stats = scan_models(enumerate_models(1, 1), [parse_formula("AX p")])
+        assert stats.ok and stats.models == 2
+        assert len(calls) == 2  # one memo miss per model

@@ -178,6 +178,39 @@ class TestCountermodel:
         code, _, err = run(capsys, "countermodel", "E[p q]")
         assert code == 2
 
+    def test_atoms_outside_p_q_refuted(self, capsys):
+        code, out, _ = run(
+            capsys, "--format", "json", "countermodel", "a -> b", "--max-worlds", "2"
+        )
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["verdict"] == "countermodel"
+        assert doc["report"][0]["bounds"]["atoms"] == ["a", "b"]
+
+
+class TestDeepInput:
+    DEEP = "~" * 5000 + "p"
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    @pytest.mark.parametrize("command", ["check", "countermodel"])
+    def test_exit_2_without_traceback(self, capsys, four_world_path, fmt, command):
+        if command == "check":
+            argv = ["check", four_world_path, "w1", self.DEEP]
+        else:
+            argv = ["countermodel", self.DEEP, "--max-worlds", "1"]
+        code, out, err = run(capsys, "--format", fmt, *argv)
+        assert code == 2
+        assert "Traceback" not in out + err
+        if fmt == "json":
+            assert "nested too deeply" in json.loads(out)["error"]
+        else:
+            assert "nested too deeply" in err
+
+    def test_500_negations_checked(self, capsys, four_world_path):
+        code, out, _ = run(capsys, "check", four_world_path, "w1", "~" * 500 + "p")
+        assert code in (0, 1)
+        assert "satisfied" in out
+
 
 class TestCompare:
     def test_small_bounds_agree(self, capsys):

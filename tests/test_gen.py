@@ -24,7 +24,7 @@ from ictl.model import (
     is_isomorphic,
     validate_frame,
 )
-from ictl.syntax import parse_formula, subformulas
+from ictl.syntax import atoms_of, parse_formula, subformulas
 from helpers import seeded_rng
 
 
@@ -217,6 +217,37 @@ class TestFindCountermodel:
         monkeypatch.setattr(gen, "oracle_check", lambda *a, **k: True)
         with pytest.raises(EngineDisagreementError):
             find_countermodel(f, max_worlds=3)
+
+    @pytest.mark.parametrize(
+        "text, checked",
+        [
+            ("A[p U q] -> q | (p & AX A[p U q])", 23_330),
+            ("A[q R p] -> p & (q | AX A[q U p])", 22_610),
+        ],
+    )
+    def test_strict_converses_refuted_where_pinned(self, text, checked):
+        result = find_countermodel(parse_formula(text), max_worlds=3, atoms=2)
+        assert (result.outcome, result.world, result.models_checked) == ("countermodel", "w0", checked)
+
+    def test_other_atoms_are_enumerated(self):
+        result = find_countermodel(parse_formula("a -> b"), max_worlds=2)
+        assert result.found
+        assert set(result.model.val) == {"a", "b"}
+        assert result.bounds["atoms"] == ["a", "b"]
+        assert not valid_in_model(result.model, parse_formula("a -> b"))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["A[a U b] -> b | (a & AX A[a U b])", "A[a U q] -> q | (a & AX A[a U q])"],
+    )
+    def test_renamed_atoms_search_the_same_stream(self, text):
+        # a fills the free slot p; an atom named like a slot keeps it
+        f = parse_formula(text)
+        result = find_countermodel(f, max_worlds=3)
+        assert (result.world, result.models_checked) == ("w0", 23_330)
+        assert set(result.model.val) == atoms_of(f)
+        assert validate_frame(result.model).ok
+        assert not valid_in_model(result.model, f)
 
     def test_hit_world_refuted_for_oracle_too(self):
         from ictl.oracle import oracle_check

@@ -17,6 +17,7 @@ from ictl.syntax import (
     TRUE,
     atoms_of,
     children,
+    compile_formulas,
     negation,
     parse_formula,
     print_formula,
@@ -177,3 +178,52 @@ class TestSubformulas:
 
     def test_atoms_of(self):
         assert atoms_of(parse_formula("E[p U q] -> r & p")) == {"p", "q", "r"}
+
+
+class TestHashing:
+    def test_equal_parses_hash_equal(self):
+        text = "A[p U q] -> q | (p & AX A[p U q])"
+        a, b = parse_formula(text), parse_formula(text)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+
+    def test_same_children_different_operator(self):
+        assert hash(And(p, q)) != hash(Or(p, q))
+        assert And(p, q) != Or(p, q)
+
+    def test_deep_formula_is_a_dict_key(self):
+        f = p
+        for _ in range(10_000):
+            f = ExistsNext(f)
+        table = {f: 1}
+        assert table[f] == 1
+        assert hash(f) == hash(ExistsNext(f.sub))
+
+    def test_copies_keep_the_hash(self):
+        import copy
+        import pickle
+
+        f = parse_formula("E[p U ~q] & AX r")
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g == f and hash(g) == hash(f)
+            assert {f: 1}[g] == 1
+
+
+class TestCompile:
+    def test_table_is_subformulas(self):
+        f = parse_formula("A[p U q] -> q | (p & AX A[p U q])")
+        program = compile_formulas([f])
+        assert program.formulas == subformulas(f)
+        index = {g: i for i, g in enumerate(program.formulas)}
+        for i, (g, (kind, left, right)) in enumerate(zip(program.formulas, program.nodes)):
+            kids = children(g)
+            if isinstance(g, Atom):
+                assert program.atom_slots[left] == g.name
+            else:
+                assert [left, right][: len(kids)] == [index[c] for c in kids]
+            assert all(index[c] < i for c in kids)
+
+    def test_battery_is_deduplicated(self):
+        program = compile_formulas([parse_formula("p & q"), parse_formula("q & p"), q])
+        assert program.formulas == [p, q, And(p, q), And(q, p)]
+        assert program.atom_slots == ["p", "q"]
