@@ -1,7 +1,8 @@
 """Fixpoint labeling engine.
 
-:func:`evaluate` runs a compiled :class:`~ictl.syntax.Program` over a
-model, bottom-up through its node table, and :func:`denote` is that run
+:func:`operators` is the engine's kind-indexed rule table for
+:func:`~ictl.syntax.run`; :func:`evaluate` runs a compiled
+:class:`~ictl.syntax.Program` with it, and :func:`denote` is that run
 keyed by subformula.  A search that checks one formula on many models
 compiles it once and calls :func:`evaluate` per model.
 
@@ -43,10 +44,7 @@ from .model import (
 )
 from .oracle import Lasso
 from .syntax import (
-    _AND,
-    _ATOM,
     _IMP,
-    _OR,
     ExistsNext,
     ExistsRelease,
     ExistsUntil,
@@ -56,11 +54,13 @@ from .syntax import (
     Formula,
     Program,
     compile_formulas,
+    run,
 )
 
 __all__ = [
     "lfp",
     "gfp",
+    "operators",
     "evaluate",
     "denote",
     "check",
@@ -77,9 +77,11 @@ __all__ = [
 ]
 
 
-def lfp(f: Callable[[int], int], bottom: int = 0) -> int:
-    """Least fixed point of a monotone bitmask transformer, from ``bottom`` up."""
-    z = bottom
+def lfp(f: Callable[[int], int], start: int = 0) -> int:
+    """Iterate a monotone bitmask transformer from ``start`` until it is
+    stable: from the empty set this is the least fixed point, from the
+    full set (as :func:`gfp`) the greatest."""
+    z = start
     while True:
         nz = f(z)
         if nz == z:
@@ -87,18 +89,11 @@ def lfp(f: Callable[[int], int], bottom: int = 0) -> int:
         z = nz
 
 
-def gfp(f: Callable[[int], int], top: int) -> int:
-    """Greatest fixed point, iterating down from ``top``."""
-    z = top
-    while True:
-        nz = f(z)
-        if nz == z:
-            return z
-        z = nz
+gfp = lfp
 
 
-# Per-operator set transformers.  ``evaluate`` dispatches through these
-# module-level names so tests can stub individual rules.
+# Per-operator set transformers.  ``operators`` reads these module-level
+# names at call time so tests can stub individual rules.
 
 def implication_set(m: BirelationalModel, a: int, b: int) -> int:
     return up_interior(m, complement(m, a) | b)
@@ -128,14 +123,11 @@ def forall_release_set(m: BirelationalModel, a: int, b: int) -> int:
     return up_interior(m, gfp(lambda z: b & (a | pre_forall(m, z)), m.full))
 
 
-def evaluate(m: BirelationalModel, program: Program) -> list[int]:
-    """Denotation bitmask of every node of ``program``, in table order.
-
-    The operator rules are read from this module's globals when the call
-    starts, so a stubbed ``checker.<op>_set`` is the one that runs.  The
-    model is not validated.
-    """
-    ops = (None,) * _IMP + (
+def operators() -> tuple[Callable | None, ...]:
+    """The engine's rules indexed by node kind, read from this module's
+    globals when called, so a stubbed ``checker.<op>_set`` is the one
+    that runs."""
+    return (None,) * _IMP + (
         implication_set,
         exists_next_set,
         forall_next_set,
@@ -144,21 +136,14 @@ def evaluate(m: BirelationalModel, program: Program) -> list[int]:
         forall_until_set,
         forall_release_set,
     )
-    atoms = program.atom_slots
-    vals: list[int] = []
-    push = vals.append
-    for kind, l, r in program.nodes:
-        if kind >= _IMP:
-            push(ops[kind](m, vals[l]) if r < 0 else ops[kind](m, vals[l], vals[r]))
-        elif kind == _AND:
-            push(vals[l] & vals[r])
-        elif kind == _OR:
-            push(vals[l] | vals[r])
-        elif kind == _ATOM:
-            push(m.atom_mask(atoms[l]))
-        else:  # _BOT
-            push(0)
-    return vals
+
+
+def evaluate(m: BirelationalModel, program: Program) -> list[int]:
+    """Denotation bitmask of every node of ``program``, in table order.
+
+    The model is not validated.
+    """
+    return run(program, m, operators())
 
 
 def denote(

@@ -15,10 +15,9 @@ import argparse
 import json
 import random
 import sys
-from itertools import chain
 from typing import Iterator
 
-from .checker import CheckOutcome, UniversalFailure, check, denote
+from .checker import UniversalFailure, check, denote
 from .gen import (
     GenParams,
     atom_names,
@@ -32,6 +31,7 @@ from .model import (
     BirelationalModel,
     InvalidModelError,
     ModelFormatError,
+    ValidationReport,
     ensure_valid,
     model_from_raw,
     model_to_document,
@@ -56,8 +56,7 @@ def _lasso_doc(m: BirelationalModel, lasso: Lasso) -> dict:
     }
 
 
-def _witness_doc(m: BirelationalModel, outcome: CheckOutcome) -> dict | None:
-    w = outcome.witness
+def _witness_doc(m: BirelationalModel, w: Lasso | UniversalFailure | None) -> dict | None:
     if w is None:
         return None
     if isinstance(w, UniversalFailure):
@@ -65,13 +64,19 @@ def _witness_doc(m: BirelationalModel, outcome: CheckOutcome) -> dict | None:
     return {"type": "path", **_lasso_doc(m, w)}
 
 
-def _witness_text(m: BirelationalModel, outcome: CheckOutcome) -> str | None:
-    w = outcome.witness
+def _witness_text(m: BirelationalModel, w: Lasso | UniversalFailure | None) -> str | None:
     if w is None:
         return None
     if isinstance(w, UniversalFailure):
         return f"fails above at {w.world}: {w.lasso.render(m)}"
     return f"path {w.render(m)}"
+
+
+def _violations_doc(report: ValidationReport) -> list[dict]:
+    return [
+        {"rule": v.rule, "witness": list(v.witness), "message": v.message}
+        for v in report.violations
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +88,7 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
     doc = {
         "verdict": "valid" if report.ok else "invalid",
         "witness": None,
-        "report": [
-            {"rule": v.rule, "witness": list(v.witness), "message": v.message}
-            for v in report.violations
-        ],
+        "report": _violations_doc(report),
     }
     if report.ok:
         return 0, doc, ["frame valid"]
@@ -101,52 +103,31 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
     m = _read_model(args.model)
     ensure_valid(m)
     f = parse_formula(args.formula)
-    if args.world not in m.index:
-        raise KeyError(f"unknown world {args.world!r}")
-    if args.engine == "fixpoint":
+    verdicts: dict[str, bool] = {}
+    witness = None
+    if args.engine != "oracle":
         outcome = check(m, args.world, f)
-        verdict = outcome.satisfied
-        doc = {
-            "verdict": "satisfied" if verdict else "not satisfied",
-            "witness": _witness_doc(m, outcome),
-            "report": [{"engine": "fixpoint", "satisfied": verdict}],
-        }
-        lines = [doc["verdict"]]
-        text = _witness_text(m, outcome)
-        if text:
-            lines.append(f"witness: {text}")
-        return (0 if verdict else 1), doc, lines
-    if args.engine == "oracle":
-        verdict = oracle_check(m, args.world, f)
-        doc = {
-            "verdict": "satisfied" if verdict else "not satisfied",
-            "witness": None,
-            "report": [{"engine": "oracle", "satisfied": verdict}],
-        }
-        return (0 if verdict else 1), doc, [doc["verdict"]]
-    outcome = check(m, args.world, f)
-    oracle_verdict = oracle_check(m, args.world, f)
-    agree = outcome.satisfied == oracle_verdict
+        verdicts["fixpoint"], witness = outcome.satisfied, outcome.witness
+    if args.engine != "fixpoint":
+        verdicts["oracle"] = oracle_check(m, args.world, f)
+    word = {True: "satisfied", False: "not satisfied"}
+    satisfied = next(iter(verdicts.values()))
+    agree = all(v == satisfied for v in verdicts.values())
     doc = {
-        "verdict": ("satisfied" if outcome.satisfied else "not satisfied")
-        if agree
-        else "disagreement",
-        "witness": _witness_doc(m, outcome),
-        "report": [
-            {"engine": "fixpoint", "satisfied": outcome.satisfied},
-            {"engine": "oracle", "satisfied": oracle_verdict},
-        ],
+        "verdict": word[satisfied] if agree else "disagreement",
+        "witness": _witness_doc(m, witness),
+        "report": [{"engine": e, "satisfied": v} for e, v in verdicts.items()],
     }
-    lines = [
-        f"fixpoint: {'satisfied' if outcome.satisfied else 'not satisfied'}",
-        f"oracle:   {'satisfied' if oracle_verdict else 'not satisfied'}",
-    ]
+    if len(verdicts) == 1:
+        lines = [doc["verdict"]]
+    else:
+        lines = [f"{e + ':':9} {word[v]}" for e, v in verdicts.items()]
     if not agree:
         return 4, doc, lines + ["ENGINES DISAGREE"]
-    text = _witness_text(m, outcome)
+    text = _witness_text(m, witness)
     if text:
         lines.append(f"witness: {text}")
-    return (0 if outcome.satisfied else 1), doc, lines
+    return (0 if satisfied else 1), doc, lines
 
 
 def _cmd_denote(args) -> tuple[int, dict, list[str]]:
@@ -306,23 +287,14 @@ def main(argv: list[str] | None = None) -> int:
     is_error = False
     try:
         code, doc, lines = args.handler(args)
-    except (ParseError, ModelFormatError) as e:
-        code, doc, lines, is_error = 2, {"error": str(e)}, [f"error: {e}"], True
-    except KeyError as e:
-        msg = e.args[0] if e.args else str(e)
+    except (ParseError, ModelFormatError, KeyError, OSError, RecursionError) as e:
+        msg = e.args[0] if isinstance(e, KeyError) and e.args else e  # str(KeyError) quotes
+        if isinstance(e, RecursionError):
+            msg = f"input nested too deeply: {e}"
         code, doc, lines, is_error = 2, {"error": str(msg)}, [f"error: {msg}"], True
-    except OSError as e:
-        code, doc, lines, is_error = 2, {"error": str(e)}, [f"error: {e}"], True
-    except RecursionError as e:
-        msg = f"input nested too deeply: {e}"
-        code, doc, lines, is_error = 2, {"error": msg}, [f"error: {msg}"], True
     except InvalidModelError as e:
-        report = [
-            {"rule": v.rule, "witness": list(v.witness), "message": v.message}
-            for v in e.report.violations
-        ]
         code = 3
-        doc = {"verdict": "invalid", "witness": None, "report": report}
+        doc = {"verdict": "invalid", "witness": None, "report": _violations_doc(e.report)}
         lines = [f"error: {e}"]
         is_error = True
     doc.setdefault("verdict", None)

@@ -15,8 +15,8 @@ Three ways to produce valid models:
 samples, if given a budget) for a model and world refuting a formula,
 double-checking any hit against the path oracle before returning it.
 It compiles the formula once into a :class:`~ictl.syntax.Program`, with
-its atoms bound to the generators' atom slots, and runs
-:func:`~ictl.checker.evaluate` per model.
+its atoms bound to the generators' atom slots, and runs it on each model
+with :func:`~ictl.syntax.run` and the engine's rules, read once per search.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .checker import evaluate
-from .model import BirelationalModel, _close_masks, iter_bits
+from .checker import operators
+from .model import BirelationalModel, _close_masks, frame_violations, iter_bits
 from .oracle import oracle_check
 from .syntax import (
     And,
@@ -44,11 +44,11 @@ from .syntax import (
     Implies,
     Or,
     compile_formulas,
+    run,
 )
 
 __all__ = [
     "GenParams",
-    "GenerationError",
     "EngineDisagreementError",
     "SearchResult",
     "atom_names",
@@ -65,10 +65,6 @@ __all__ = [
 ]
 
 _ATOM_POOL = "pqrstuvabcdefgh"
-
-
-class GenerationError(RuntimeError):
-    """Random generation failed within the attempt budget."""
 
 
 class EngineDisagreementError(AssertionError):
@@ -137,22 +133,7 @@ def upward_closed_masks(up: Sequence[int]) -> list[int]:
 
 def frame_conditions_hold(up: Sequence[int], succ: Sequence[int]) -> bool:
     """C1 and C2 for a closed preorder and serial transition masks."""
-    n = len(up)
-    pred = [0] * n
-    for u in range(n):
-        for j in iter_bits(succ[u]):
-            pred[j] |= 1 << u
-    for x in range(n):
-        ux = up[x]
-        for y in iter_bits(succ[x]):
-            uy = up[y]
-            for z in iter_bits(uy):
-                if not (ux & pred[z]):
-                    return False  # C1
-            for z in iter_bits(ux):
-                if not (succ[z] & uy):
-                    return False  # C2
-    return True
+    return next(frame_violations(up, succ), None) is None
 
 
 def enumerate_frames(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -182,34 +163,17 @@ def enumerate_models(n: int, a: int) -> Iterator[BirelationalModel]:
 # ---------------------------------------------------------------------------
 # Random generation
 
-def _find_violation(up: Sequence[int], succ: Sequence[int]) -> tuple[str, int, int, int] | None:
-    n = len(up)
-    pred = [0] * n
-    for u in range(n):
-        for j in iter_bits(succ[u]):
-            pred[j] |= 1 << u
-    for x in range(n):
-        for y in iter_bits(succ[x]):
-            for z in iter_bits(up[y]):
-                if not (up[x] & pred[z]):
-                    return ("C1", x, y, z)
-            for z in iter_bits(up[x]):
-                if not (succ[z] & up[y]):
-                    return ("C2", x, y, z)
-    return None
-
-
 def _repair_transitions(up: Sequence[int], succ: list[int]) -> list[int]:
     # Adding R-edges only: for a C2 breach (x,y,z) add z->y (y P y discharges
     # it); for a C1 breach add x->z (x P x).  Each addition may create new
     # obligations, but the complete relation satisfies both conditions, so
     # the loop terminates.
     while True:
-        v = _find_violation(up, succ)
+        v = next(frame_violations(up, succ), None)
         if v is None:
             return succ
-        kind, x, y, z = v
-        if kind == "C2":
+        rule, x, y, z = v
+        if rule == "C2":
             succ[z] |= 1 << y
         else:
             succ[x] |= 1 << z
@@ -221,10 +185,6 @@ def random_model(params: GenParams) -> BirelationalModel:
     n = params.n_worlds
     worlds = tuple(f"w{i}" for i in range(n))
     names = atom_names(params.n_atoms)
-    last: tuple[list[int], list[int]] | None = None
-    up: list[int] = []
-    succ: list[int] = []
-    ok = False
     for _ in range(params.max_attempts):
         order = list(range(n))
         rng.shuffle(order)
@@ -244,19 +204,10 @@ def random_model(params: GenParams) -> BirelationalModel:
             if not mask:
                 mask = 1 << rng.randrange(n)
             succ.append(mask)
-        last = (up, succ)
         if frame_conditions_hold(up, succ):
-            ok = True
             break
-    if not ok:
-        if last is None:
-            raise GenerationError("no attempts made")
-        up, succ = last
+    else:  # every attempt broke C1 or C2: repair the last one
         succ = _repair_transitions(up, list(succ))
-        if not frame_conditions_hold(up, succ):
-            raise GenerationError(
-                f"repair failed after {params.max_attempts} attempts"
-            )
     val: dict[str, int] = {}
     for atom in names:
         base = 0
@@ -379,21 +330,23 @@ def find_countermodel(
     Scans every valid model up to ``max_worlds`` worlds (complete, so the
     ``exhausted`` outcome is a proof of validity within the bounds), then
     up to ``budget`` random models of larger sizes.  ``f`` is compiled
-    once, with its atoms bound to the generators' atom slots, and
-    evaluated on each model; only a hit is renamed to ``f``'s atoms.  Hits
-    are verified with the path oracle; a verdict mismatch raises
-    :class:`EngineDisagreementError` rather than returning a bogus model.
+    once, with its atoms bound to the generators' atom slots, and run on
+    each model with the engine rules bound when the search starts; only a
+    hit is renamed to ``f``'s atoms.  Hits are verified with the path
+    oracle; a verdict mismatch raises :class:`EngineDisagreementError`
+    rather than returning a bogus model.
     """
     program = compile_formulas([f])
     slots = _search_atoms(program.atom_slots, atoms)
     program = replace(program, atom_slots=[slots[a] for a in program.atom_slots])
+    ops = operators()
     names = list(slots)
     bounds = {"max_worlds": max_worlds, "atoms": names, "budget": budget, "seed": seed}
     checked = 0
     for n in range(1, max_worlds + 1):
         for m in enumerate_models(n, len(names)):
             checked += 1
-            mask = evaluate(m, program)[-1]
+            mask = run(program, m, ops)[-1]
             if mask != m.full:
                 return _countermodel(f, m, mask, slots, checked, bounds)
     if budget <= 0:
@@ -406,7 +359,7 @@ def find_countermodel(
         )
         m = random_model(params)
         checked += 1
-        mask = evaluate(m, program)[-1]
+        mask = run(program, m, ops)[-1]
         if mask != m.full:
             return _countermodel(f, m, mask, slots, checked, bounds)
     return SearchResult("budget_exceeded", None, None, checked, bounds)

@@ -2,15 +2,17 @@
 
 The formula battery is compiled once into one
 :class:`~ictl.syntax.Program`, the flat node table (children before
-parents) that the fixpoint engine evaluates too; ``compile_battery`` is
-:func:`~ictl.syntax.compile_formulas`.  Per model, one pass evaluates
-every node bottom-up through both engines.  Because each engine's verdict for a compound node
-is a pure function of the frame and the child verdict sets, results are
-memoized per frame keyed by (operator, child masks); on a memo miss both
-engines run and their masks are compared.  Agreement on every table
-entry reachable in a model is exactly agreement on every formula of the
-battery at every world of that model, and any mismatch is reported with
-a concrete witnessing formula and world.
+parents) that :func:`~ictl.syntax.run` evaluates too; ``compile_battery``
+is :func:`~ictl.syntax.compile_formulas`.  Per model, one pass evaluates
+every node bottom-up through both engines, taking each operator from
+:func:`ictl.checker.operators` and :func:`ictl.oracle.operators`.
+Because each engine's verdict for a compound node is a pure function of
+the frame and the child verdict sets, results are memoized per frame
+keyed by (operator, child masks); on a memo miss both engines run and
+their masks are compared.  Agreement on every table entry reachable in a
+model is exactly agreement on every formula of the battery at every world
+of that model, and any mismatch is reported with a concrete witnessing
+formula and world.
 """
 
 from __future__ import annotations
@@ -23,12 +25,6 @@ from .model import BirelationalModel
 from .syntax import (
     _AND,
     _ATOM,
-    _AR,
-    _AU,
-    _AX,
-    _ER,
-    _EU,
-    _EX,
     _IMP,
     _OR,
     Formula,
@@ -37,24 +33,6 @@ from .syntax import (
 )
 
 __all__ = ["compile_battery", "Disagreement", "ScanStats", "scan_models"]
-
-# dispatch is by attribute name so monkeypatched engine rules are honored
-_ENGINE_BINARY = {
-    _IMP: "implication_set",
-    _EU: "exists_until_set",
-    _ER: "exists_release_set",
-    _AU: "forall_until_set",
-    _AR: "forall_release_set",
-}
-_ENGINE_UNARY = {_EX: "exists_next_set", _AX: "forall_next_set"}
-_ORACLE_BINARY = {
-    _IMP: "implication_worlds",
-    _EU: "exists_until_worlds",
-    _ER: "exists_release_worlds",
-    _AU: "forall_until_worlds",
-    _AR: "forall_release_worlds",
-}
-_ORACLE_UNARY = {_EX: "exists_next_worlds", _AX: "forall_next_worlds"}
 
 
 @dataclass(frozen=True)
@@ -91,9 +69,11 @@ def scan_models(
         battery = compile_battery(battery)
     nodes = battery.nodes
     n_nodes = len(nodes)
+    engine_ops, oracle_ops = checker.operators(), oracle.operators()
     stats = ScanStats()
     frame_memos: dict[tuple, dict[int, int]] = {}
-    mismatch_keys: dict[tuple, set[int]] = {}
+    # per frame: memo key -> oracle mask, for the keys where the engines differ
+    mismatches: dict[tuple, dict[int, int]] = {}
 
     for m in models:
         stats.models += 1
@@ -101,8 +81,8 @@ def scan_models(
         memo = frame_memos.get(frame)
         if memo is None:
             memo = frame_memos[frame] = {}
-            mismatch_keys[frame] = set()
-        bad = mismatch_keys[frame]
+            mismatches[frame] = {}
+        bad = mismatches[frame]
         vals = [0] * n_nodes
         shift = m.n  # masks fit in m.n bits; pack (kind, l, r) into one int key
         for idx in range(n_nodes):
@@ -114,16 +94,16 @@ def scan_models(
                 v = memo.get(key)
                 if v is None:
                     if ri >= 0:
-                        ev = getattr(checker, _ENGINE_BINARY[kind])(m, lv, rv)
-                        ov = getattr(oracle, _ORACLE_BINARY[kind])(m, lv, rv)
+                        v = engine_ops[kind](m, lv, rv)
+                        ov = oracle_ops[kind](m, lv, rv)
                     else:
-                        ev = getattr(checker, _ENGINE_UNARY[kind])(m, lv)
-                        ov = getattr(oracle, _ORACLE_UNARY[kind])(m, lv)
-                    if ev != ov:
-                        bad.add(key)
-                    memo[key] = v = ev
+                        v = engine_ops[kind](m, lv)
+                        ov = oracle_ops[kind](m, lv)
+                    if v != ov:
+                        bad[key] = ov
+                    memo[key] = v
                 if key in bad and len(stats.disagreements) < max_disagreements:
-                    _record(stats, m, battery, idx, kind, lv, rv)
+                    _record(stats, m, battery.formulas[idx], v, bad[key])
                 vals[idx] = v
             elif kind == _AND:
                 vals[idx] = vals[li] & vals[ri]
@@ -137,23 +117,9 @@ def scan_models(
     return stats
 
 
-def _record(
-    stats: ScanStats,
-    m: BirelationalModel,
-    battery: Program,
-    idx: int,
-    kind: int,
-    lv: int,
-    rv: int,
-) -> None:
-    if battery.nodes[idx][2] >= 0:
-        ev = getattr(checker, _ENGINE_BINARY[kind])(m, lv, rv)
-        ov = getattr(oracle, _ORACLE_BINARY[kind])(m, lv, rv)
-    else:
-        ev = getattr(checker, _ENGINE_UNARY[kind])(m, lv)
-        ov = getattr(oracle, _ORACLE_UNARY[kind])(m, lv)
+def _record(stats: ScanStats, m: BirelationalModel, f: Formula, ev: int, ov: int) -> None:
     diff = ev ^ ov
     w = (diff & -diff).bit_length() - 1
     stats.disagreements.append(
-        Disagreement(m, battery.formulas[idx], m.worlds[w], bool(ev >> w & 1), bool(ov >> w & 1))
+        Disagreement(m, f, m.worlds[w], bool(ev >> w & 1), bool(ov >> w & 1))
     )

@@ -10,13 +10,16 @@ along P.  Frames must additionally satisfy the two commutation conditions
 World sets are plain ``int`` bitmasks over the world indices; relations
 are tuples of per-world bitmasks.  ``up[i]`` holds the worlds P-above
 world ``i`` (including ``i``), ``succ[i]`` its R-successors.
+
+:func:`frame_violations` is the one C1/C2 check: :func:`validate_frame`
+reports what it yields, and the generators stop at its first breach.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .syntax import ATOM_RE
 
@@ -33,6 +36,7 @@ __all__ = [
     "with_identity_preorder",
     "Violation",
     "ValidationReport",
+    "frame_violations",
     "validate_frame",
     "ensure_valid",
     "up_set",
@@ -343,6 +347,30 @@ class ValidationReport:
         return {v.rule for v in self.violations}
 
 
+def frame_violations(
+    up: Sequence[int], succ: Sequence[int]
+) -> Iterator[tuple[str, int, int, int]]:
+    """Every C1 and C2 breach ``(rule, x, y, z)`` of a closed preorder and
+    transition masks: for each R-edge ``x R y`` (x, then y, ascending) its
+    C1 breaches (z over the up-set of y), then its C2 breaches (z over the
+    up-set of x)."""
+    n = len(up)
+    pred = [0] * n
+    for u in range(n):
+        for j in iter_bits(succ[u]):
+            pred[j] |= 1 << u
+    for x in range(n):
+        ux = up[x]
+        for y in iter_bits(succ[x]):
+            uy = up[y]
+            for z in iter_bits(uy):
+                if not (ux & pred[z]):
+                    yield ("C1", x, y, z)
+            for z in iter_bits(ux):
+                if not (succ[z] & uy):
+                    yield ("C2", x, y, z)
+
+
 def validate_frame(
     m: BirelationalModel, check_c3: bool = False, max_witnesses: int = 10
 ) -> ValidationReport:
@@ -383,30 +411,9 @@ def validate_frame(
         if not m.succ[i]:
             emit("serial", (i,), f"world {W[i]} has no transition successor")
 
-    pred = [0] * m.n
-    for i in range(m.n):
-        for j in iter_bits(m.succ[i]):
-            pred[j] |= 1 << i
-    # C1: x R y, y P z  =>  exists u: x P u, u R z
-    for x in range(m.n):
-        for y in iter_bits(m.succ[x]):
-            for z in iter_bits(m.up[y]):
-                if not (m.up[x] & pred[z]):
-                    emit(
-                        "C1",
-                        (x, y, z),
-                        f"C1 fails at ({W[x]}, {W[y]}, {W[z]}): no u with {W[x]} P u and u R {W[z]}",
-                    )
-    # C2: x P z, x R y  =>  exists u: y P u, z R u
-    for x in range(m.n):
-        for z in iter_bits(m.up[x]):
-            for y in iter_bits(m.succ[x]):
-                if not (m.succ[z] & m.up[y]):
-                    emit(
-                        "C2",
-                        (x, y, z),
-                        f"C2 fails at ({W[x]}, {W[y]}, {W[z]}): no u with {W[y]} P u and {W[z]} R u",
-                    )
+    for rule, x, y, z in frame_violations(m.up, m.succ):
+        need = f"{W[x]} P u and u R {W[z]}" if rule == "C1" else f"{W[y]} P u and {W[z]} R u"
+        emit(rule, (x, y, z), f"{rule} fails at ({W[x]}, {W[y]}, {W[z]}): no u with {need}")
     for atom in m.atoms:
         amask = m.val[atom]
         for i in iter_bits(amask):

@@ -19,29 +19,21 @@ Verdicts for until/release path properties at a world ``w``:
 The universal connectives additionally quantify over the up-set of ``w``;
 ``classical_*`` run the same analyses with the preorder ignored (up-set
 collapsed to the world itself, implication read materially).
+
+Both semantics are kind-indexed operator tables for
+:func:`~ictl.syntax.run`: :func:`operators` holds the ``*_worlds``
+functions below, and :func:`oracle_denotation` and
+:func:`classical_denotation` compile a formula and run it with their
+table.  Nothing here uses the fixpoint engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .model import BirelationalModel, ensure_valid, iter_bits
-from .syntax import (
-    And,
-    Atom,
-    Bottom,
-    ExistsNext,
-    ExistsRelease,
-    ExistsUntil,
-    ForallNext,
-    ForallRelease,
-    ForallUntil,
-    Formula,
-    Implies,
-    Or,
-    subformulas,
-)
+from .syntax import _IMP, Formula, compile_formulas, run
 
 __all__ = [
     "Lasso",
@@ -51,6 +43,7 @@ __all__ = [
     "lasso_satisfies_release",
     "enumerate_lassos",
     "lift_path",
+    "operators",
     "oracle_denotation",
     "oracle_check",
     "classical_denotation",
@@ -326,41 +319,34 @@ def forall_release_worlds(m: BirelationalModel, a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 # Evaluators
 
+def operators() -> tuple[Callable | None, ...]:
+    """The oracle's per-operator world sets indexed by node kind, read from
+    this module's globals when called, so a stubbed ``oracle.<op>_worlds``
+    is the one that runs."""
+    return (None,) * _IMP + (
+        implication_worlds,
+        exists_next_worlds,
+        forall_next_worlds,
+        exists_until_worlds,
+        exists_release_worlds,
+        forall_until_worlds,
+        forall_release_worlds,
+    )
+
+
+def _denotation(m: BirelationalModel, f: Formula, ops) -> dict[Formula, int]:
+    program = compile_formulas([f])
+    return dict(zip(program.formulas, run(program, m, ops)))
+
+
 def oracle_denotation(
     m: BirelationalModel, f: Formula, *, validate: bool = True
 ) -> dict[Formula, int]:
-    """Verdict bitmask per subformula, memoized bottom-up."""
+    """Verdict bitmask per subformula, in :func:`~ictl.syntax.subformulas`
+    order."""
     if validate:
         ensure_valid(m)
-    sets: dict[Formula, int] = {}
-    for g in subformulas(f):
-        match g:
-            case Atom(name):
-                v = m.atom_mask(name)
-            case Bottom():
-                v = 0
-            case And(l, r):
-                v = sets[l] & sets[r]
-            case Or(l, r):
-                v = sets[l] | sets[r]
-            case Implies(l, r):
-                v = implication_worlds(m, sets[l], sets[r])
-            case ExistsNext(s):
-                v = exists_next_worlds(m, sets[s])
-            case ForallNext(s):
-                v = forall_next_worlds(m, sets[s])
-            case ExistsUntil(l, r):
-                v = exists_until_worlds(m, sets[l], sets[r])
-            case ExistsRelease(l, r):
-                v = exists_release_worlds(m, sets[l], sets[r])
-            case ForallUntil(l, r):
-                v = forall_until_worlds(m, sets[l], sets[r])
-            case ForallRelease(l, r):
-                v = forall_release_worlds(m, sets[l], sets[r])
-            case _:
-                raise TypeError(f"not a formula: {g!r}")
-        sets[g] = v
-    return sets
+    return _denotation(m, f, operators())
 
 
 def oracle_check(
@@ -370,49 +356,37 @@ def oracle_check(
     return bool(oracle_denotation(m, f, validate=validate)[f] >> w & 1)
 
 
+def _classical_operators() -> tuple[Callable | None, ...]:
+    """Plain CTL rules indexed by node kind: no up-set quantification."""
+    return (None,) * _IMP + (
+        lambda m, a, b: (m.full & ~a) | b,  # material implication
+        exists_next_worlds,
+        lambda m, a: _worlds_where(m, _successors_within, a, 0),
+        exists_until_worlds,
+        exists_release_worlds,
+        lambda m, a, b: _worlds_where(m, _all_paths_until, a, b),
+        lambda m, a, b: _worlds_where(m, _all_paths_release, a, b),
+    )
+
+
+def _worlds_where(m: BirelationalModel, holds: Callable, a: int, b: int) -> int:
+    """Worlds ``w`` where ``holds(m, w, a, b)``."""
+    out = 0
+    for w in range(m.n):
+        if holds(m, w, a, b):
+            out |= 1 << w
+    return out
+
+
+def _successors_within(m: BirelationalModel, w: int, a: int, _b: int) -> bool:
+    return not (m.succ[w] & ~a & m.full)
+
+
 def classical_denotation(m: BirelationalModel, f: Formula) -> dict[Formula, int]:
     """Plain CTL semantics over R alone: the preorder is read as equality,
     so implication is material and universal operators quantify only over
     paths from the world itself."""
-    sets: dict[Formula, int] = {}
-    for g in subformulas(f):
-        match g:
-            case Atom(name):
-                v = m.atom_mask(name)
-            case Bottom():
-                v = 0
-            case And(l, r):
-                v = sets[l] & sets[r]
-            case Or(l, r):
-                v = sets[l] | sets[r]
-            case Implies(l, r):
-                v = (m.full & ~sets[l]) | sets[r]
-            case ExistsNext(s):
-                v = exists_next_worlds(m, sets[s])
-            case ForallNext(s):
-                a = sets[s]
-                v = 0
-                for w in range(m.n):
-                    if not (m.succ[w] & ~a & m.full):
-                        v |= 1 << w
-            case ExistsUntil(l, r):
-                v = exists_until_worlds(m, sets[l], sets[r])
-            case ExistsRelease(l, r):
-                v = exists_release_worlds(m, sets[l], sets[r])
-            case ForallUntil(l, r):
-                v = 0
-                for w in range(m.n):
-                    if _all_paths_until(m, w, sets[l], sets[r]):
-                        v |= 1 << w
-            case ForallRelease(l, r):
-                v = 0
-                for w in range(m.n):
-                    if _all_paths_release(m, w, sets[l], sets[r]):
-                        v |= 1 << w
-            case _:
-                raise TypeError(f"not a formula: {g!r}")
-        sets[g] = v
-    return sets
+    return _denotation(m, f, _classical_operators())
 
 
 def classical_check(m: BirelationalModel, world: str, f: Formula) -> bool:

@@ -17,17 +17,25 @@ both desugar at parse time, so the AST has no negation or truth node.
 
 Every node caches its hash when it is built, computed from its type and
 its children's cached hashes, so hashing any formula is O(1) however deep
-it is; equality stays structural.  :func:`compile_formulas` flattens
-formulas into one :class:`Program`, a table of ``(kind, left, right)``
-nodes with children before parents, which the fixpoint engine and the
-differential harness evaluate.
+it is.  Equality stays structural but is checked with an explicit stack,
+so comparing two deep equal formulas cannot overflow the call stack.
+
+:func:`compile_formulas` flattens formulas into one :class:`Program`, a
+table of ``(kind, left, right)`` nodes with children before parents, and
+:func:`run` is the one loop that evaluates such a table over a model.  It
+computes atoms, ``false``, ``&`` and ``|`` itself and hands every other
+node to a kind-indexed operator table; the fixpoint engine, the path
+oracle and the classical semantics differ only in their tables.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from .model import BirelationalModel
 
 __all__ = [
     "Formula",
@@ -53,6 +61,7 @@ __all__ = [
     "atoms_of",
     "Program",
     "compile_formulas",
+    "run",
 ]
 
 ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
@@ -70,6 +79,24 @@ class Formula:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for name in a.__match_args__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, Formula):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
     def __reduce__(self):
         # copies and pickles rebuild through the constructor, which sets _hash
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
@@ -78,10 +105,8 @@ class Formula:
         return print_formula(self)
 
 
-def _node(cls: type) -> type:
-    # an explicit __hash__ in the class body is one the dataclass keeps
-    cls.__hash__ = Formula.__hash__
-    return dataclass(frozen=True, slots=True)(cls)
+# eq=False keeps Formula's iterative __eq__ and its cached __hash__
+_node = dataclass(frozen=True, slots=True, eq=False)
 
 
 @_node
@@ -248,6 +273,28 @@ def compile_formulas(formulas: Iterable[Formula]) -> Program:
             case _:
                 nodes.append((_KIND[type(g)], index[g.left], index[g.right]))
     return Program(table, nodes, atom_slots)
+
+
+def run(program: Program, m: BirelationalModel, ops: Sequence[Callable | None]) -> list[int]:
+    """World-set bitmask of every node of ``program`` on model ``m``, in
+    table order: atoms read ``m``'s valuation, ``false`` is empty, ``&`` and
+    ``|`` are intersection and union, and a node of kind ``k >= _IMP`` is
+    ``ops[k](m, a)`` or ``ops[k](m, a, b)`` over its children's masks."""
+    atoms = program.atom_slots
+    vals: list[int] = []
+    push = vals.append
+    for kind, l, r in program.nodes:
+        if kind >= _IMP:
+            push(ops[kind](m, vals[l]) if r < 0 else ops[kind](m, vals[l], vals[r]))
+        elif kind == _AND:
+            push(vals[l] & vals[r])
+        elif kind == _OR:
+            push(vals[l] | vals[r])
+        elif kind == _ATOM:
+            push(m.atom_mask(atoms[l]))
+        else:  # _BOT
+            push(0)
+    return vals
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,11 @@ class TestFixpoints:
         keep = mask(m, "w1", "v1")
         assert gfp(lambda z: keep & pre_exists(m, z), m.full) == mask(m, "v1")
 
+    def test_one_iteration_from_either_end(self, four_world):
+        assert gfp is lfp
+        assert lfp(lambda z: z, start=0b101) == 0b101
+        assert lfp(lambda z: z & 0b110, four_world.full) == 0b110
+
 
 class TestDenote:
     def test_atom(self, four_world):

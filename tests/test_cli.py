@@ -114,6 +114,64 @@ class TestCheck:
         assert doc["witness"]["cycle"] == ["w2"]
 
 
+WITNESS_PATH = {"type": "path", "prefix": ["w1"], "cycle": ["w2"]}
+WITNESS_FAILS_ABOVE = {
+    "type": "universal-failure",
+    "world": "w1",
+    "lasso": {"prefix": ["w1"], "cycle": ["w2"]},
+}
+SAT, UNSAT = "satisfied", "not satisfied"
+# (verdict, engine) -> (formula at w1, exit code, human stdout, witness, engine verdicts)
+CHECK_PINS = {
+    (SAT, "fixpoint"): (
+        "E[p U q]", 0, "satisfied\nwitness: path w1 (w2)*\n", WITNESS_PATH,
+        {"fixpoint": True},
+    ),
+    (SAT, "oracle"): ("E[p U q]", 0, "satisfied\n", None, {"oracle": True}),
+    (SAT, "both"): (
+        "E[p U q]", 0,
+        "fixpoint: satisfied\noracle:   satisfied\nwitness: path w1 (w2)*\n",
+        WITNESS_PATH, {"fixpoint": True, "oracle": True},
+    ),
+    (UNSAT, "fixpoint"): (
+        "A[q R p]", 1, "not satisfied\nwitness: fails above at w1: w1 (w2)*\n",
+        WITNESS_FAILS_ABOVE, {"fixpoint": False},
+    ),
+    (UNSAT, "oracle"): ("A[q R p]", 1, "not satisfied\n", None, {"oracle": False}),
+    (UNSAT, "both"): (
+        "A[q R p]", 1,
+        "fixpoint: not satisfied\noracle:   not satisfied\n"
+        "witness: fails above at w1: w1 (w2)*\n",
+        WITNESS_FAILS_ABOVE, {"fixpoint": False, "oracle": False},
+    ),
+    ("disagreement", "both"): (
+        "AX q", 4, "fixpoint: satisfied\noracle:   not satisfied\nENGINES DISAGREE\n",
+        None, {"fixpoint": True, "oracle": False},
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+@pytest.mark.parametrize("verdict,engine", list(CHECK_PINS))
+def test_check_output_pinned(capsys, monkeypatch, four_world_path, verdict, engine, fmt):
+    formula, code, human, witness, verdicts = CHECK_PINS[(verdict, engine)]
+    if verdict == "disagreement":
+        # drop the upward interior: AX q then holds at w1 for the engine only
+        monkeypatch.setattr(checker, "forall_next_set", lambda m, a: pre_forall(m, a))
+    got, out, err = run(
+        capsys, "--format", fmt, "check", four_world_path, "w1", formula, "--engine", engine
+    )
+    doc = {
+        "command": "check",
+        "verdict": verdict,
+        "witness": witness,
+        "report": [{"engine": e, "satisfied": v} for e, v in verdicts.items()],
+    }
+    assert got == code
+    assert err == ""
+    assert out == (human if fmt == "human" else json.dumps(doc, indent=2) + "\n")
+
+
 class TestDenote:
     def test_atom(self, capsys, four_world_path):
         code, out, _ = run(capsys, "denote", four_world_path, "p")

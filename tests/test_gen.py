@@ -128,6 +128,39 @@ class TestRandomModel:
         for before, after in zip(succ, repaired):
             assert before & ~after == 0  # only adds edges
 
+    # (n, seed, max_attempts) -> (up, succ, val), recorded where every attempt
+    # breaks C1 or C2 and the sample goes through the repair loop
+    REPAIRED = {
+        (4, 0, 1): ((1, 2, 5, 8), (9, 5, 1, 8), {"p": 1, "q": 5}),
+        (5, 1, 1): ((3, 2, 4, 27, 16), (22, 23, 31, 30, 23), {"p": 27, "q": 27}),
+        (7, 0, 1): (
+            (1, 2, 69, 72, 16, 32, 64),
+            (65, 69, 73, 34, 69, 16, 107),
+            {"p": 95, "q": 48},
+        ),
+        (5, 4, 32): ((1, 2, 4, 24, 16), (4, 26, 24, 12, 20), {"p": 22, "q": 22}),
+        (6, 0, 32): ((1, 2, 55, 11, 16, 32), (43, 63, 45, 13, 33, 55), {"p": 50, "q": 63}),
+        (8, 0, 32): (
+            (33, 35, 236, 8, 176, 32, 192, 128),
+            (236, 81, 140, 237, 192, 239, 169, 251),
+            {"p": 225, "q": 239},
+        ),
+    }
+
+    @pytest.mark.parametrize("n,seed,attempts", list(REPAIRED))
+    def test_repaired_samples_pinned(self, monkeypatch, n, seed, attempts):
+        repairs = []
+        repair = gen._repair_transitions
+
+        def spy(up, succ):
+            repairs.append(1)
+            return repair(up, succ)
+
+        monkeypatch.setattr(gen, "_repair_transitions", spy)
+        m = random_model(GenParams(n_worlds=n, n_atoms=2, seed=seed, max_attempts=attempts))
+        assert repairs == [1]
+        assert (m.up, m.succ, m.val) == self.REPAIRED[(n, seed, attempts)]
+
     def test_sampled_valuations_upward_closed(self):
         for seed in range(10):
             m = random_model(GenParams(n_worlds=5, n_atoms=2, seed=200 + seed))

@@ -1,12 +1,16 @@
+from itertools import product
+
 import pytest
 
 from ictl.fixtures import FOUR_WORLD_DOC, four_world_model
+from ictl.gen import enumerate_preorders, frame_conditions_hold
 from ictl.model import (
     BirelationalModel,
     ModelFormatError,
     build_model,
     close_preorder,
     complement,
+    frame_violations,
     is_isomorphic,
     is_upward_closed,
     load_model,
@@ -256,3 +260,51 @@ class TestIsomorphism:
         doc = dict(FOUR_WORLD_DOC, valuation={"w1": [], "w2": [], "v1": [], "v2": []})
         other = model_from_raw(load_model(doc))
         assert not is_isomorphic(four_world, other)
+
+
+def definitional_breaches(up, succ):
+    """C1/C2 breaches ``(rule, x, y, z)`` read straight off the quantifiers."""
+    worlds = range(len(up))
+
+    def P(a, b):
+        return up[a] >> b & 1
+
+    def R(a, b):
+        return succ[a] >> b & 1
+
+    out = set()
+    for x, y, z in product(worlds, repeat=3):
+        # C1: x R y and y P z need some u with x P u and u R z
+        if R(x, y) and P(y, z) and not any(P(x, u) and R(u, z) for u in worlds):
+            out.add(("C1", x, y, z))
+        # C2: x P z and x R y need some u with y P u and z R u
+        if P(x, z) and R(x, y) and not any(P(y, u) and R(z, u) for u in worlds):
+            out.add(("C2", x, y, z))
+    return out
+
+
+class TestFrameViolations:
+    """The one C1/C2 check, against the definition on every candidate frame
+    with at most three worlds, and as seen through each of its consumers."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_all_candidates_agree_with_definition(self, n):
+        worlds = tuple(f"w{i}" for i in range(n))
+        candidates = broken = 0
+        for up in enumerate_preorders(n):
+            for succ in product(range(1, 1 << n), repeat=n):
+                expected = definitional_breaches(up, succ)
+                found = list(frame_violations(up, succ))
+                # each R-edge x R y in order: its C1 breaches, then its C2 breaches
+                assert found == sorted(expected, key=lambda v: (v[1], v[2], v[0], v[3]))
+                assert frame_conditions_hold(up, succ) == (not expected)
+                report = validate_frame(
+                    BirelationalModel(worlds, up, succ, {}), max_witnesses=n**3
+                )
+                assert {(v.rule, *v.witness) for v in report.violations} == {
+                    (rule, worlds[x], worlds[y], worlds[z]) for rule, x, y, z in expected
+                }
+                candidates += 1
+                broken += bool(expected)
+        assert candidates == len(enumerate_preorders(n)) * ((1 << n) - 1) ** n
+        assert (n == 1) == (broken == 0)

@@ -1,5 +1,7 @@
 import pytest
 
+import ictl.checker as checker
+import ictl.oracle as oracle
 from ictl.checker import check, denote
 from ictl.gen import GenParams, random_model
 from ictl.model import BirelationalModel, build_model, with_identity_preorder
@@ -191,3 +193,28 @@ class TestClassical:
                 eng = denote(ident, f, validate=False)
                 cls = classical_denotation(ident, f)
                 assert eng[f] == cls[f]
+
+
+class TestOperatorTables:
+    def test_stubbed_rule_is_called(self, monkeypatch, four_world):
+        calls = []
+        original = oracle.exists_next_worlds
+
+        def counting(m, a):
+            calls.append(a)
+            return original(m, a)
+
+        monkeypatch.setattr(oracle, "exists_next_worlds", counting)
+        sets = oracle_denotation(four_world, parse_formula("EX p & EX EX q"))
+        assert len(calls) == 3
+        assert sets[parse_formula("EX p")] == original(four_world, four_world.atom_mask("p"))
+
+    def test_independent_of_the_engine(self, monkeypatch, four_world):
+        def broken(*args):
+            raise AssertionError("engine rule called")
+
+        for name in ["lfp", "gfp", *(op.__name__ for op in checker.operators() if op)]:
+            monkeypatch.setattr(checker, name, broken)
+        f = parse_formula("A[p U q] -> E[q R p] | AX ~p")
+        oracle_denotation(four_world, f)
+        classical_denotation(four_world, f)

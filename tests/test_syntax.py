@@ -1,6 +1,7 @@
 import pytest
 
 from ictl.syntax import (
+    _IMP,
     And,
     Atom,
     BOTTOM,
@@ -21,6 +22,7 @@ from ictl.syntax import (
     negation,
     parse_formula,
     print_formula,
+    run,
     subformulas,
 )
 
@@ -199,6 +201,33 @@ class TestHashing:
         assert table[f] == 1
         assert hash(f) == hash(ExistsNext(f.sub))
 
+    @staticmethod
+    def deep(leaf, depth=10_000):
+        f = leaf
+        for _ in range(depth):
+            f = ExistsNext(f)
+        return f
+
+    def test_deep_equal_pairs_compare_equal(self):
+        a, b = self.deep(p), self.deep(Atom("p"))
+        assert a is not b
+        assert a == b and not (a != b)
+        c, d = self.deep(And(p, q)), self.deep(And(Atom("p"), Atom("q")))
+        assert c == d
+
+    def test_deep_unequal_pair(self):
+        assert self.deep(p) != self.deep(q)
+        assert self.deep(p) != self.deep(p, 9_999)
+        assert self.deep(And(p, q)) != self.deep(Or(p, q))
+
+    def test_deep_key_found_by_equal_copy(self):
+        assert {self.deep(p): 1}[self.deep(Atom("p"))] == 1
+        assert self.deep(q) not in {self.deep(p): 1}
+
+    def test_equality_with_other_types(self):
+        assert p != "p" and not (p == "p")
+        assert Atom("p") == p and ExistsNext(p) != ForallNext(p)
+
     def test_copies_keep_the_hash(self):
         import copy
         import pickle
@@ -227,3 +256,19 @@ class TestCompile:
         program = compile_formulas([parse_formula("p & q"), parse_formula("q & p"), q])
         assert program.formulas == [p, q, And(p, q), And(q, p)]
         assert program.atom_slots == ["p", "q"]
+
+    def test_run_takes_operators_from_the_table(self, four_world):
+        f = parse_formula("(p & q) | EX false | (p -> q)")
+        program = compile_formulas([f])
+        calls = []
+
+        def op(m, a, b=None):
+            calls.append((a, b))
+            return m.full
+
+        vals = dict(zip(program.formulas, run(program, four_world, [None] * _IMP + [op] * 7)))
+        p_mask, q_mask = four_world.atom_mask("p"), four_world.atom_mask("q")
+        assert vals[BOTTOM] == 0
+        assert vals[parse_formula("p & q")] == p_mask & q_mask
+        assert vals[f] == four_world.full
+        assert calls == [(0, None), (p_mask, q_mask)]  # EX false, then p -> q
