@@ -23,9 +23,24 @@ every computed set upward-closed on valid frames:
     [[A[f U g]]] = interior(lfp Z. [[g]] u ([[f]] n pre_forall(Z)))
     [[A[f R g]]] = interior(gfp Z. [[g]] n ([[f]] u pre_forall(Z)))
 
-where ``interior`` is the upward interior.  Witnesses for the temporal
-verdicts are extracted from fixpoint stages and small graph searches;
-they are best-effort evidence, the boolean verdict is the contract.
+where ``interior`` is the upward interior.
+
+These equations are the definition; the engine does not iterate them
+round by round.  Each until/release set comes from one backward worklist
+over the model's predecessor masks, as in the CTL labeling of Clarke,
+Emerson and Sistla: :func:`_backward` grows a set from a seed by adding
+the allowed worlds with some (or all) R-successors already inside,
+looking only at predecessors of the worlds added last, so each world
+enters the frontier at most once.  E[f U g] grows from [[g]] through
+[[f]] with "some", A[f U g] with "all"; the release sets are the
+complements of the dual untils, E[f R g] = ~(grow ~[[g]] through ~[[f]]
+with "all") and A[f R g] = interior(~(the same with "some")).
+:func:`lfp` (also :func:`gfp`) iterates an equation as written and is
+kept for checking the kernel against the definition.
+
+Witnesses for the temporal verdicts are extracted from these sets and
+small graph searches; they are best-effort evidence, the boolean verdict
+is the contract.
 """
 
 from __future__ import annotations
@@ -108,19 +123,51 @@ def forall_next_set(m: BirelationalModel, a: int) -> int:
 
 
 def exists_until_set(m: BirelationalModel, a: int, b: int) -> int:
-    return lfp(lambda z: b | (a & pre_exists(m, z)))
+    return _backward(m, b, a, False)
 
 
 def exists_release_set(m: BirelationalModel, a: int, b: int) -> int:
-    return gfp(lambda z: b & (a | pre_exists(m, z)), m.full)
+    return complement(m, _backward(m, complement(m, b), complement(m, a), True))
 
 
 def forall_until_set(m: BirelationalModel, a: int, b: int) -> int:
-    return up_interior(m, lfp(lambda z: b | (a & pre_forall(m, z))))
+    return up_interior(m, _backward(m, b, a, True))
 
 
 def forall_release_set(m: BirelationalModel, a: int, b: int) -> int:
-    return up_interior(m, gfp(lambda z: b & (a | pre_forall(m, z)), m.full))
+    return up_interior(m, complement(m, _backward(m, complement(m, b), complement(m, a), False)))
+
+
+def _backward(m: BirelationalModel, start: int, allowed: int, every: bool) -> int:
+    """Least Z containing ``start`` and every ``allowed`` world with some
+    (``every``: all) of its R-successors in Z.
+
+    Each round looks only at the predecessors of the worlds the previous
+    round added, so a world joins the frontier at most once.  With
+    ``every``, worlds without successors qualify at once and are seeded.
+    """
+    pred, succ = m.pred, m.succ
+    z = start
+    if every and not all(succ):
+        for i, s in enumerate(succ):
+            if not s:
+                z |= allowed & (1 << i)
+    allowed &= ~z
+    frontier = z
+    while frontier:
+        cand = 0
+        for x in iter_bits(frontier):
+            cand |= pred[x]
+        cand &= allowed
+        if every:
+            outside = ~z
+            for c in iter_bits(cand):
+                if succ[c] & outside:
+                    cand ^= 1 << c
+        z |= cand
+        allowed ^= cand
+        frontier = cand
+    return z
 
 
 def operators() -> tuple[Callable | None, ...]:
@@ -181,9 +228,15 @@ class CheckOutcome:
     witness: Lasso | UniversalFailure | None = None
 
 
-def check(m: BirelationalModel, world: str, f: Formula) -> CheckOutcome:
-    """Verdict of ``f`` at ``world`` plus best-effort path evidence."""
-    ensure_valid(m)
+def check(
+    m: BirelationalModel, world: str, f: Formula, *, validate: bool = True
+) -> CheckOutcome:
+    """Verdict of ``f`` at ``world`` plus best-effort path evidence.
+
+    ``validate=False`` skips frame validation, as in :func:`denote`.
+    """
+    if validate:
+        ensure_valid(m)
     w = m.world_index(world)
     sets = denote(m, f, validate=False)
     sat = bool(sets[f] >> w & 1)
@@ -313,7 +366,7 @@ def _ax_failure(m: BirelationalModel, w: int, amask: int) -> UniversalFailure | 
 def _au_failure(m: BirelationalModel, w: int, amask: int, bmask: int) -> UniversalFailure | None:
     # classical until fails along some path from a P-greater world: either a
     # path through ~g to a ~f&~g world, or a ~g cycle reached through ~g
-    classical = lfp(lambda z: bmask | (amask & pre_forall(m, z)))
+    classical = _backward(m, bmask, amask, True)
     for wp in iter_bits(m.up[w] & ~classical):
         path = _shortest_path_in(m, wp, ~bmask & m.full, m.full & ~amask & ~bmask)
         if path is not None:
@@ -326,7 +379,9 @@ def _au_failure(m: BirelationalModel, w: int, amask: int, bmask: int) -> Univers
 
 def _ar_failure(m: BirelationalModel, w: int, amask: int, bmask: int) -> UniversalFailure | None:
     # classical release fails via a path through ~f to a ~g world
-    classical = gfp(lambda z: bmask & (amask | pre_forall(m, z)), m.full)
+    classical = complement(
+        m, _backward(m, complement(m, bmask), complement(m, amask), False)
+    )
     for wp in iter_bits(m.up[w] & ~classical):
         path = _shortest_path_in(m, wp, m.full & ~amask, m.full & ~bmask)
         if path is not None:

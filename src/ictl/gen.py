@@ -150,14 +150,15 @@ def enumerate_models(n: int, a: int) -> Iterator[BirelationalModel]:
     """Every valid model with ``n`` worlds and ``a`` atoms, deterministically.
 
     Worlds are named ``w0 .. w{n-1}``; atoms come from :func:`atom_names`.
+    The models of one frame share its masks (see
+    :meth:`~ictl.model.BirelationalModel.with_valuation`).
     """
     worlds = tuple(f"w{i}" for i in range(n))
     names = atom_names(a)
     for up, succ in enumerate_frames(n):
-        up_masks = upward_closed_masks(up)
-        for assignment in product(up_masks, repeat=a):
-            val = dict(zip(names, assignment))
-            yield BirelationalModel(worlds, up, succ, val)
+        frame = BirelationalModel(worlds, up, succ, {})
+        for assignment in product(upward_closed_masks(up), repeat=a):
+            yield frame.with_valuation(dict(zip(names, assignment)))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +375,7 @@ def _countermodel(
     bounds: dict,
 ) -> SearchResult:
     """The hit ``m`` renamed to ``f``'s atoms, once the oracle confirms it."""
-    m = BirelationalModel(m.worlds, m.up, m.succ, {a: m.val[s] for a, s in slots.items()})
+    m = m.with_valuation({a: m.val[s] for a, s in slots.items()})
     world = m.worlds[next(iter_bits(m.full & ~mask))]
     if oracle_check(m, world, f, validate=False):
         raise EngineDisagreementError(

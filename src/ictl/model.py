@@ -9,7 +9,9 @@ along P.  Frames must additionally satisfy the two commutation conditions
 
 World sets are plain ``int`` bitmasks over the world indices; relations
 are tuples of per-world bitmasks.  ``up[i]`` holds the worlds P-above
-world ``i`` (including ``i``), ``succ[i]`` its R-successors.
+world ``i`` (including ``i``), ``succ[i]`` its R-successors and
+``pred[i]`` its R-predecessors.  :meth:`BirelationalModel.with_valuation`
+puts another valuation on the same frame, sharing all of its masks.
 
 :func:`frame_violations` is the one C1/C2 check: :func:`validate_frame`
 reports what it yields, and the generators stop at its first breach.
@@ -173,10 +175,20 @@ def _close_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return up
 
 
+def _pred_masks(succ: Sequence[int]) -> tuple[int, ...]:
+    """``pred[j]``: the worlds with an R-edge into world ``j``."""
+    pred = [0] * len(succ)
+    for i, s in enumerate(succ):
+        bit = 1 << i
+        for j in iter_bits(s):
+            pred[j] |= bit
+    return tuple(pred)
+
+
 class BirelationalModel:
     """Immutable model over dense world indices; see module docstring."""
 
-    __slots__ = ("worlds", "index", "up", "succ", "val", "atoms", "n", "full")
+    __slots__ = ("worlds", "index", "up", "succ", "pred", "val", "atoms", "n", "full")
 
     def __init__(
         self,
@@ -189,10 +201,22 @@ class BirelationalModel:
         self.index = {w: i for i, w in enumerate(worlds)}
         self.up = up
         self.succ = succ
+        self.pred = _pred_masks(succ)
         self.val = val
         self.atoms = tuple(sorted(val))
         self.n = len(worlds)
         self.full = (1 << self.n) - 1
+
+    def with_valuation(self, val: dict[str, int]) -> "BirelationalModel":
+        """The same frame under valuation ``val``; every frame field is shared."""
+        m = object.__new__(BirelationalModel)
+        m.worlds, m.index, m.up, m.succ, m.pred = (
+            self.worlds, self.index, self.up, self.succ, self.pred
+        )
+        m.n, m.full = self.n, self.full
+        m.val = val
+        m.atoms = tuple(sorted(val))
+        return m
 
     def world_index(self, name: str) -> int:
         try:
@@ -288,9 +312,10 @@ def up_set(m: BirelationalModel, world: str) -> int:
 
 def up_interior(m: BirelationalModel, mask: int) -> int:
     """Worlds whose whole up-set lies inside ``mask``."""
+    outside = ~mask
     out = 0
-    for i in range(m.n):
-        if not (m.up[i] & ~mask):
+    for i, u in enumerate(m.up):
+        if not (u & outside):
             out |= 1 << i
     return out
 
@@ -306,9 +331,10 @@ def pre_exists(m: BirelationalModel, mask: int) -> int:
 
 def pre_forall(m: BirelationalModel, mask: int) -> int:
     """Worlds all of whose R-successors lie in ``mask``."""
+    outside = ~mask
     out = 0
-    for i in range(m.n):
-        if not (m.succ[i] & ~mask):
+    for i, s in enumerate(m.succ):
+        if not (s & outside):
             out |= 1 << i
     return out
 
@@ -354,12 +380,8 @@ def frame_violations(
     transition masks: for each R-edge ``x R y`` (x, then y, ascending) its
     C1 breaches (z over the up-set of y), then its C2 breaches (z over the
     up-set of x)."""
-    n = len(up)
-    pred = [0] * n
-    for u in range(n):
-        for j in iter_bits(succ[u]):
-            pred[j] |= 1 << u
-    for x in range(n):
+    pred = _pred_masks(succ)
+    for x in range(len(up)):
         ux = up[x]
         for y in iter_bits(succ[x]):
             uy = up[y]

@@ -18,7 +18,9 @@ both desugar at parse time, so the AST has no negation or truth node.
 Every node caches its hash when it is built, computed from its type and
 its children's cached hashes, so hashing any formula is O(1) however deep
 it is.  Equality stays structural but is checked with an explicit stack,
-so comparing two deep equal formulas cannot overflow the call stack.
+so comparing two deep equal formulas cannot overflow the call stack, and
+each pair of shared subterms is compared once, so the cost is the size of
+the formulas as DAGs, not as trees.
 
 :func:`compile_formulas` flattens formulas into one :class:`Program`, a
 table of ``(kind, left, right)`` nodes with children before parents, and
@@ -83,6 +85,7 @@ class Formula:
         if not isinstance(other, Formula):
             return NotImplemented
         stack = [(self, other)]
+        pushed = {(id(self), id(other))}  # each shared pair is compared once
         while stack:
             a, b = stack.pop()
             if a is b:
@@ -92,7 +95,10 @@ class Formula:
             for name in a.__match_args__:
                 x, y = getattr(a, name), getattr(b, name)
                 if isinstance(x, Formula):
-                    stack.append((x, y))
+                    pair = (id(x), id(y))
+                    if pair not in pushed:
+                        pushed.add(pair)
+                        stack.append((x, y))
                 elif x != y:
                     return False
         return True

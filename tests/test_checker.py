@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from helpers import (
@@ -18,12 +21,16 @@ from ictl.checker import (
     lfp,
     valid_in_model,
 )
-from ictl.gen import enumerate_models
+from ictl.gen import GenParams, enumerate_models, enumerate_preorders, random_model
 from ictl.model import (
+    BirelationalModel,
     InvalidModelError,
     build_model,
+    ensure_valid,
     is_upward_closed,
     pre_exists,
+    pre_forall,
+    up_interior,
 )
 from ictl.oracle import Lasso
 from ictl.syntax import Atom, Implies, compile_formulas, parse_formula, subformulas
@@ -66,6 +73,77 @@ class TestFixpoints:
         assert gfp is lfp
         assert lfp(lambda z: z, start=0b101) == 0b101
         assert lfp(lambda z: z & 0b110, four_world.full) == 0b110
+
+
+def until_release_definitions(m, a, b):
+    """The four until/release sets iterated from the module docstring's
+    equations with ``lfp``/``gfp``."""
+    return {
+        "exists_until_set": lfp(lambda z: b | (a & pre_exists(m, z))),
+        "exists_release_set": gfp(lambda z: b & (a | pre_exists(m, z)), m.full),
+        "forall_until_set": up_interior(m, lfp(lambda z: b | (a & pre_forall(m, z)))),
+        "forall_release_set": up_interior(
+            m, gfp(lambda z: b & (a | pre_forall(m, z)), m.full)
+        ),
+    }
+
+
+def assert_rules_match_definitions(m, a, b):
+    for name, want in until_release_definitions(m, a, b).items():
+        got = getattr(checker, name)(m, a, b)
+        assert got == want, f"{name} on {m!r} succ={m.succ} a={a:b} b={b:b}: {got:b} != {want:b}"
+
+
+class TestBackwardKernel:
+    """The worklist rules equal their fixpoint definitions."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_small_frame_and_mask_pair(self, n):
+        # every preorder and every transition relation, serial or not, C1/C2 or not
+        worlds = tuple(f"w{i}" for i in range(n))
+        for up in enumerate_preorders(n):
+            for succ in product(range(1 << n), repeat=n):
+                m = BirelationalModel(worlds, up, succ, {})
+                for a, b in product(range(1 << n), repeat=2):
+                    assert_rules_match_definitions(m, a, b)
+
+    def test_random_models(self):
+        rng = random.Random(4)
+        for k in range(300):
+            m = random_model(GenParams(rng.randint(4, 8), 0, seed=k))
+            for _ in range(4):
+                assert_rules_match_definitions(m, rng.getrandbits(m.n), rng.getrandbits(m.n))
+
+    def test_world_without_successor(self):
+        # a -> b -> c, and c has no successor: only "all successors" holds there
+        m = build_model(["a", "b", "c"], [("a", "b")], [("a", "b"), ("b", "c")], {})
+        assert m.succ[2] == 0
+        for a, b in product(range(8), repeat=2):
+            assert_rules_match_definitions(m, a, b)
+        c_only = mask(m, "c")
+        assert checker.forall_until_set(m, c_only, 0) == c_only
+        assert checker.exists_until_set(m, c_only, 0) == 0
+        assert checker.exists_release_set(m, 0, c_only) == 0
+        assert checker.forall_release_set(m, 0, c_only) == c_only
+
+    def test_closed_forms_on_2000_world_cycle(self):
+        n = 2000
+        worlds = [f"c{i}" for i in range(n)]
+        m = build_model(
+            worlds,
+            [],
+            [(worlds[i], worlds[(i + 1) % n]) for i in range(n)],
+            {w: ["q"] if i == 0 else ["p"] for i, w in enumerate(worlds)},
+        )
+        ensure_valid(m)
+        for text, want in [
+            ("E[p U q]", m.full),
+            ("A[p U q]", m.full),
+            ("E[q R p]", 0),
+            ("A[q R p]", 0),
+        ]:
+            f = parse_formula(text)
+            assert denote(m, f, validate=False)[f] == want, text
 
 
 class TestDenote:
@@ -240,6 +318,12 @@ class TestCheck:
         assert isinstance(out.witness, UniversalFailure)
         assert out.witness.world == "w1"
         assert witness_revalidates(four_world, "w1", f, out)
+
+    def test_validate_false_skips_validation(self):
+        broken = build_model(["a", "b"], [], [("a", "b")], {"a": ["p"]})  # b not serial
+        with pytest.raises(InvalidModelError):
+            check(broken, "a", parse_formula("p"))
+        assert check(broken, "a", parse_formula("p"), validate=False).satisfied
 
     def test_no_witness_for_propositional(self, four_world):
         assert check(four_world, "w1", parse_formula("p & p")).witness is None

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import ictl.checker as checker
+import ictl.model as model
 from ictl.cli import main
 from ictl.model import pre_forall
 
@@ -102,6 +103,22 @@ class TestCheck:
         path = write_model(tmp_path, NON_SERIAL_DOC)
         code, _, err = run(capsys, "check", path, "a", "p")
         assert code == 3
+
+    @pytest.mark.parametrize("engine", ["fixpoint", "oracle", "both"])
+    def test_model_validated_once(self, capsys, monkeypatch, four_world_path, tmp_path, engine):
+        calls = []
+        original = model.validate_frame
+
+        def counting(m, *args, **kwargs):
+            calls.append(m)
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(model, "validate_frame", counting)
+        code, _, _ = run(capsys, "check", four_world_path, "w1", "A[p U q]", "--engine", engine)
+        assert code == 0 and len(calls) == 1
+        path = write_model(tmp_path, NON_SERIAL_DOC)
+        code, _, err = run(capsys, "check", path, "a", "p", "--engine", engine)
+        assert code == 3 and "invalid model" in err and len(calls) == 2
 
     def test_witness_in_json(self, capsys, four_world_path):
         code, out, _ = run(

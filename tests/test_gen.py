@@ -66,6 +66,19 @@ class TestEnumerate:
         for m in islice(enumerate_models(3, 2), 0, 2000, 7):
             assert validate_frame(m).ok
 
+    def test_models_equal_freshly_built_ones(self):
+        frames, prev = 0, None
+        for m in enumerate_models(3, 2):
+            fresh = BirelationalModel(m.worlds, m.up, m.succ, dict(m.val))
+            for name in BirelationalModel.__slots__:
+                assert getattr(m, name) == getattr(fresh, name), name
+            if prev is not None and (m.up, m.succ) == (prev.up, prev.succ):
+                assert m.pred is prev.pred  # one frame object per frame
+            else:
+                frames += 1
+            prev = m
+        assert frames == sum(1 for _ in gen.enumerate_frames(3))
+
     def test_deterministic_order(self):
         first = [gen_model.up + gen_model.succ for gen_model in islice(enumerate_models(3, 1), 50)]
         second = [gen_model.up + gen_model.succ for gen_model in islice(enumerate_models(3, 1), 50)]

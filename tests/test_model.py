@@ -228,6 +228,23 @@ class TestValidate:
         assert validate_frame(m, check_c3=True).ok
 
 
+class TestFrameSharing:
+    def test_pred_inverts_succ(self, four_world):
+        m = four_world
+        for i in range(m.n):
+            for j in range(m.n):
+                assert (m.pred[j] >> i & 1) == (m.succ[i] >> j & 1)
+
+    def test_with_valuation_shares_the_frame(self, four_world):
+        m = four_world
+        other = m.with_valuation({"r": m.full, "a": 0})
+        for name in ("worlds", "index", "up", "succ", "pred", "n", "full"):
+            assert getattr(other, name) is getattr(m, name), name
+        assert other.val == {"r": m.full, "a": 0}
+        assert other.atoms == ("a", "r")
+        assert m.atoms == ("p", "q") and validate_frame(other).ok
+
+
 class TestDocumentRoundTrip:
     def test_round_trip(self, four_world):
         doc = model_to_document(four_world)

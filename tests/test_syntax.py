@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ictl.syntax import (
@@ -223,6 +225,22 @@ class TestHashing:
     def test_deep_key_found_by_equal_copy(self):
         assert {self.deep(p): 1}[self.deep(Atom("p"))] == 1
         assert self.deep(q) not in {self.deep(p): 1}
+
+    @staticmethod
+    def shared(leaf, depth=64):
+        f = leaf
+        for _ in range(depth):
+            f = And(f, f)
+        return f
+
+    def test_shared_subterms_compare_once(self):
+        # 2**64 leaves as a tree, 65 nodes as a DAG
+        a, b = self.shared(p), self.shared(Atom("p"))
+        start = time.perf_counter()
+        assert a == b
+        assert time.perf_counter() - start < 1.0
+        assert a != self.shared(q)
+        assert self.shared(And(p, q)) == self.shared(And(Atom("p"), Atom("q")))
 
     def test_equality_with_other_types(self):
         assert p != "p" and not (p == "p")
