@@ -190,7 +190,7 @@ def evaluate(m: BirelationalModel, program: Program) -> list[int]:
 
     The model is not validated.
     """
-    return run(program, m, operators())
+    return run(program, m, operators(), {})
 
 
 def denote(

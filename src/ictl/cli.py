@@ -15,17 +15,9 @@ import argparse
 import json
 import random
 import sys
-from typing import Iterator
 
 from .checker import UniversalFailure, check, denote
-from .gen import (
-    GenParams,
-    atom_names,
-    enumerate_models,
-    find_countermodel,
-    random_formula,
-    random_model,
-)
+from .gen import atom_names, find_countermodel, model_stream, random_formula
 from .harness import compile_battery, scan_models
 from .model import (
     BirelationalModel,
@@ -44,9 +36,21 @@ from .syntax import ParseError, parse_formula, print_formula
 COMPARE_FORMULAS_PER_RUN = 24
 
 
+# options that count something; a negative value is a usage error
+_COUNT_OPTIONS = ("max_worlds", "atoms", "budget", "samples", "depth")
+
+
+class _UsageError(ValueError):
+    """A command-line value out of range."""
+
+
 def _read_model(path: str) -> BirelationalModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_raw(load_model(fh.read()))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ModelFormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+    return model_from_raw(load_model(text))
 
 
 def _lasso_doc(m: BirelationalModel, lasso: Lasso) -> dict:
@@ -176,19 +180,6 @@ def _cmd_countermodel(args) -> tuple[int, dict, list[str]]:
     return 5, doc, [f"budget exceeded after {result.models_checked} models, no countermodel"]
 
 
-def _compare_model_stream(args) -> Iterator[BirelationalModel]:
-    for n in range(1, args.max_worlds + 1):
-        yield from enumerate_models(n, args.atoms)
-    rng = random.Random(args.seed ^ 0x5EED)
-    for k in range(args.samples):
-        params = GenParams(
-            n_worlds=args.max_worlds + 1 + k % 3,
-            n_atoms=args.atoms,
-            seed=rng.getrandbits(63),
-        )
-        yield random_model(params)
-
-
 def _cmd_compare(args) -> tuple[int, dict, list[str]]:
     rng = random.Random(args.seed)
     names = atom_names(args.atoms)
@@ -196,7 +187,8 @@ def _cmd_compare(args) -> tuple[int, dict, list[str]]:
         random_formula(rng, args.depth, names) for _ in range(COMPARE_FORMULAS_PER_RUN)
     ]
     battery = compile_battery(formulas)
-    stats = scan_models(_compare_model_stream(args), battery, max_disagreements=3)
+    models = model_stream(args.max_worlds, args.atoms, args.samples, args.seed ^ 0x5EED)
+    stats = scan_models(models, battery, max_disagreements=3)
     entries = [
         {
             "model": model_to_document(d.model),
@@ -286,8 +278,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     is_error = False
     try:
+        for name in _COUNT_OPTIONS:
+            if getattr(args, name, 0) < 0:
+                option = "--" + name.replace("_", "-")
+                raise _UsageError(f"{option} must be >= 0, got {getattr(args, name)}")
         code, doc, lines = args.handler(args)
-    except (ParseError, ModelFormatError, KeyError, OSError, RecursionError) as e:
+    except (ParseError, ModelFormatError, _UsageError, KeyError, OSError, RecursionError) as e:
         msg = e.args[0] if isinstance(e, KeyError) and e.args else e  # str(KeyError) quotes
         if isinstance(e, RecursionError):
             msg = f"input nested too deeply: {e}"

@@ -11,12 +11,14 @@ Three ways to produce valid models:
 * :func:`product_frame` builds one correct by construction from a stage
   poset and an ordinary serial transition graph.
 
-:func:`find_countermodel` scans the exhaustive stream (then random
-samples, if given a budget) for a model and world refuting a formula,
-double-checking any hit against the path oracle before returning it.
-It compiles the formula once into a :class:`~ictl.syntax.Program`, with
-its atoms bound to the generators' atom slots, and runs it on each model
-with :func:`~ictl.syntax.run` and the engine's rules, read once per search.
+:func:`model_stream` is the exhaustive stream followed by seeded random
+samples; :func:`find_countermodel` and ``ictl compare`` both scan it.
+:func:`find_countermodel` looks for a model and world refuting a formula,
+double-checking any hit against the path oracle before returning it.  It
+compiles the formula once into a :class:`~ictl.syntax.Program`, with its
+atoms bound to the generators' atom slots, and runs it on each model with
+:func:`~ictl.syntax.run`, the engine's rules, read once per search, and
+one operator memo per frame, which the frame's valuations share.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ __all__ = [
     "enumerate_frames",
     "enumerate_models",
     "random_model",
+    "model_stream",
     "product_frame",
     "find_countermodel",
     "random_formula",
@@ -222,6 +225,21 @@ def random_model(params: GenParams) -> BirelationalModel:
     return BirelationalModel(worlds, tuple(up), tuple(succ), val)
 
 
+def model_stream(
+    max_worlds: int, atoms: int, samples: int = 0, seed: int = 0
+) -> Iterator[BirelationalModel]:
+    """Every valid model with up to ``max_worlds`` worlds, then ``samples``
+    random models, the ``k``-th with ``max_worlds + 1 + k % 3`` worlds and
+    its seed drawn from ``random.Random(seed)``."""
+    for n in range(1, max_worlds + 1):
+        yield from enumerate_models(n, atoms)
+    rng = random.Random(seed)
+    for k in range(samples):
+        yield random_model(
+            GenParams(n_worlds=max_worlds + 1 + k % 3, n_atoms=atoms, seed=rng.getrandbits(63))
+        )
+
+
 # ---------------------------------------------------------------------------
 # Product construction
 
@@ -328,14 +346,15 @@ def find_countermodel(
 ) -> SearchResult:
     """Search for a model and world where ``f`` fails.
 
-    Scans every valid model up to ``max_worlds`` worlds (complete, so the
-    ``exhausted`` outcome is a proof of validity within the bounds), then
-    up to ``budget`` random models of larger sizes.  ``f`` is compiled
-    once, with its atoms bound to the generators' atom slots, and run on
-    each model with the engine rules bound when the search starts; only a
-    hit is renamed to ``f``'s atoms.  Hits are verified with the path
-    oracle; a verdict mismatch raises :class:`EngineDisagreementError`
-    rather than returning a bogus model.
+    Scans the :func:`model_stream`: every valid model up to ``max_worlds``
+    worlds (complete, so the ``exhausted`` outcome is a proof of validity
+    within the bounds), then up to ``budget`` random models of larger
+    sizes.  ``f`` is compiled once, with its atoms bound to the
+    generators' atom slots, and run on each model with the engine rules
+    bound when the search starts and a memo per frame; only a hit is
+    renamed to ``f``'s atoms.  Hits are verified with the path oracle; a
+    verdict mismatch raises :class:`EngineDisagreementError` rather than
+    returning a bogus model.
     """
     program = compile_formulas([f])
     slots = _search_atoms(program.atom_slots, atoms)
@@ -344,26 +363,16 @@ def find_countermodel(
     names = list(slots)
     bounds = {"max_worlds": max_worlds, "atoms": names, "budget": budget, "seed": seed}
     checked = 0
-    for n in range(1, max_worlds + 1):
-        for m in enumerate_models(n, len(names)):
-            checked += 1
-            mask = run(program, m, ops)[-1]
-            if mask != m.full:
-                return _countermodel(f, m, mask, slots, checked, bounds)
-    if budget <= 0:
-        return SearchResult("exhausted", None, None, checked, bounds)
-    rng = random.Random(seed)
-    for k in range(budget):
-        n = max_worlds + 1 + k % 3
-        params = GenParams(
-            n_worlds=n, n_atoms=len(names), seed=rng.getrandbits(63), edge_density=0.3
-        )
-        m = random_model(params)
+    frame = None
+    for m in model_stream(max_worlds, len(names), budget, seed):
         checked += 1
-        mask = run(program, m, ops)[-1]
+        if (m.up, m.succ) != frame:
+            frame, memo = (m.up, m.succ), {}
+        mask = run(program, m, ops, memo)[-1]
         if mask != m.full:
             return _countermodel(f, m, mask, slots, checked, bounds)
-    return SearchResult("budget_exceeded", None, None, checked, bounds)
+    outcome = "exhausted" if budget <= 0 else "budget_exceeded"
+    return SearchResult(outcome, None, None, checked, bounds)
 
 
 def _countermodel(

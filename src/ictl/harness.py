@@ -1,36 +1,30 @@
 """Differential harness: run both engines over many (model, formula) pairs.
 
 The formula battery is compiled once into one
-:class:`~ictl.syntax.Program`, the flat node table (children before
-parents) that :func:`~ictl.syntax.run` evaluates too; ``compile_battery``
-is :func:`~ictl.syntax.compile_formulas`.  Per model, one pass evaluates
-every node bottom-up through both engines, taking each operator from
-:func:`ictl.checker.operators` and :func:`ictl.oracle.operators`.
-Because each engine's verdict for a compound node is a pure function of
-the frame and the child verdict sets, results are memoized per frame
-keyed by (operator, child masks); on a memo miss both engines run and
-their masks are compared.  Agreement on every table entry reachable in a
-model is exactly agreement on every formula of the battery at every world
-of that model, and any mismatch is reported with a concrete witnessing
-formula and world.
+:class:`~ictl.syntax.Program`; ``compile_battery`` is
+:func:`~ictl.syntax.compile_formulas`.  Each model is evaluated with
+:func:`~ictl.syntax.run` and a *comparing* operator table: each of its
+rules runs the engine rule from :func:`ictl.checker.operators` and the
+oracle rule from :func:`ictl.oracle.operators`, notes the application
+when their masks differ, and returns the engine's mask.  Because each
+engine's verdict for a compound node is a pure function of the frame and
+the child verdict sets, ``run``'s memo is kept per frame, so the models
+of one frame share every application and both engines run only on a
+memo miss.  Agreement on every application reached in a model is exactly
+agreement on every formula of the battery at every world of that model.
+Only a model whose frame has a noted mismatch is walked again, to report
+each mismatching node with a concrete witnessing formula and world.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import checker, oracle
 from .model import BirelationalModel
-from .syntax import (
-    _AND,
-    _ATOM,
-    _IMP,
-    _OR,
-    Formula,
-    Program,
-    compile_formulas as compile_battery,
-)
+from .syntax import _IMP, Formula, Program, compile_formulas as compile_battery, run
 
 __all__ = ["compile_battery", "Disagreement", "ScanStats", "scan_models"]
 
@@ -62,64 +56,59 @@ def scan_models(
 ) -> ScanStats:
     """Compare engine and oracle on every battery formula at every world.
 
-    Models sharing a frame (same preorder and transition masks) share the
-    memo table, so exhaustive streams grouped by frame scan quickly.
+    Consecutive models sharing a frame (same preorder and transition
+    masks) share the memo, so exhaustive streams grouped by frame scan
+    quickly.
     """
     if not isinstance(battery, Program):
         battery = compile_battery(battery)
-    nodes = battery.nodes
-    n_nodes = len(nodes)
-    engine_ops, oracle_ops = checker.operators(), oracle.operators()
+    n_nodes = len(battery.nodes)
+    # (kind, *child masks) -> oracle mask, where the engines differ on this frame
+    noted: dict[tuple, int] = {}
+    ops = _comparing_operators(noted)
     stats = ScanStats()
-    frame_memos: dict[tuple, dict[int, int]] = {}
-    # per frame: memo key -> oracle mask, for the keys where the engines differ
-    mismatches: dict[tuple, dict[int, int]] = {}
-
+    frame = None
     for m in models:
         stats.models += 1
-        frame = (m.up, m.succ)
-        memo = frame_memos.get(frame)
-        if memo is None:
-            memo = frame_memos[frame] = {}
-            mismatches[frame] = {}
-        bad = mismatches[frame]
-        vals = [0] * n_nodes
-        shift = m.n  # masks fit in m.n bits; pack (kind, l, r) into one int key
-        for idx in range(n_nodes):
-            kind, li, ri = nodes[idx]
-            if kind >= _IMP:
-                lv = vals[li]
-                rv = vals[ri] if ri >= 0 else 0
-                key = ((kind << shift | lv) << shift) | rv
-                v = memo.get(key)
-                if v is None:
-                    if ri >= 0:
-                        v = engine_ops[kind](m, lv, rv)
-                        ov = oracle_ops[kind](m, lv, rv)
-                    else:
-                        v = engine_ops[kind](m, lv)
-                        ov = oracle_ops[kind](m, lv)
-                    if v != ov:
-                        bad[key] = ov
-                    memo[key] = v
-                if key in bad and len(stats.disagreements) < max_disagreements:
-                    _record(stats, m, battery.formulas[idx], v, bad[key])
-                vals[idx] = v
-            elif kind == _AND:
-                vals[idx] = vals[li] & vals[ri]
-            elif kind == _OR:
-                vals[idx] = vals[li] | vals[ri]
-            elif kind == _ATOM:
-                vals[idx] = m.atom_mask(battery.atom_slots[li])
-            else:  # _BOT
-                vals[idx] = 0
+        if (m.up, m.succ) != frame:
+            frame, memo = (m.up, m.succ), {}
+            noted.clear()
+        vals = run(battery, m, ops, memo)
+        if noted and len(stats.disagreements) < max_disagreements:
+            found = _mismatches(m, battery, vals, noted)
+            stats.disagreements += islice(found, max_disagreements - len(stats.disagreements))
         stats.verdicts += n_nodes * m.n
     return stats
 
 
-def _record(stats: ScanStats, m: BirelationalModel, f: Formula, ev: int, ov: int) -> None:
-    diff = ev ^ ov
-    w = (diff & -diff).bit_length() - 1
-    stats.disagreements.append(
-        Disagreement(m, f, m.worlds[w], bool(ev >> w & 1), bool(ov >> w & 1))
-    )
+def _comparing_operators(noted: dict[tuple, int]) -> tuple[Callable | None, ...]:
+    """Engine rules that also run the oracle rule and note any mismatch."""
+    engine_ops, oracle_ops = checker.operators(), oracle.operators()
+
+    def comparing(kind: int) -> Callable:
+        engine_op, oracle_op = engine_ops[kind], oracle_ops[kind]
+
+        def op(m: BirelationalModel, *args: int) -> int:
+            v = engine_op(m, *args)
+            ov = oracle_op(m, *args)
+            if v != ov:
+                noted[(kind, *args)] = ov
+            return v
+
+        return op
+
+    return (None,) * _IMP + tuple(comparing(k) for k in range(_IMP, len(engine_ops)))
+
+
+def _mismatches(
+    m: BirelationalModel, battery: Program, vals: list[int], noted: dict[tuple, int]
+) -> Iterator[Disagreement]:
+    """Each node of ``m`` whose application is noted, in table order."""
+    for f, (kind, l, r), ev in zip(battery.formulas, battery.nodes, vals):
+        if kind < _IMP:
+            continue
+        ov = noted.get((kind, vals[l]) if r < 0 else (kind, vals[l], vals[r]))
+        if ov is not None:
+            diff = ev ^ ov
+            w = (diff & -diff).bit_length() - 1
+            yield Disagreement(m, f, m.worlds[w], bool(ev >> w & 1), bool(ov >> w & 1))

@@ -239,25 +239,16 @@ def build_model(
     preorder: Iterable[tuple[str, str]],
     transitions: Iterable[tuple[str, str]],
     valuation: dict[str, Iterable[str]],
-    *,
-    preclosed: bool = False,
 ) -> BirelationalModel:
     """Assemble a model from name-level data, closing the preorder.
 
     No frame validation happens here; run :func:`validate_frame` on the
-    result.  ``preclosed=True`` skips the closure pass for callers that
-    already supply a closed preorder.
+    result.
     """
     names = tuple(worlds)
     index = {w: i for i, w in enumerate(names)}
     n = len(names)
-    p_edges = [(index[a], index[b]) for a, b in preorder]
-    if preclosed:
-        up = [1 << i for i in range(n)]
-        for i, j in p_edges:
-            up[i] |= 1 << j
-    else:
-        up = _close_masks(n, p_edges)
+    up = _close_masks(n, [(index[a], index[b]) for a, b in preorder])
     succ = [0] * n
     for a, b in transitions:
         succ[index[a]] |= 1 << index[b]
@@ -380,14 +371,15 @@ def frame_violations(
     transition masks: for each R-edge ``x R y`` (x, then y, ascending) its
     C1 breaches (z over the up-set of y), then its C2 breaches (z over the
     up-set of x)."""
-    pred = _pred_masks(succ)
     for x in range(len(up)):
         ux = up[x]
+        reach = 0  # the worlds z with some u, x P u and u R z
+        for u in iter_bits(ux):
+            reach |= succ[u]
         for y in iter_bits(succ[x]):
             uy = up[y]
-            for z in iter_bits(uy):
-                if not (ux & pred[z]):
-                    yield ("C1", x, y, z)
+            for z in iter_bits(uy & ~reach):
+                yield ("C1", x, y, z)
             for z in iter_bits(ux):
                 if not (succ[z] & uy):
                     yield ("C2", x, y, z)

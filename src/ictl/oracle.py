@@ -248,72 +248,79 @@ def _all_paths_release(m: BirelationalModel, w: int, a: int, b: int) -> bool:
 # ---------------------------------------------------------------------------
 # Per-operator world sets
 
-def implication_worlds(m: BirelationalModel, a: int, b: int) -> int:
+def _worlds_where(m: BirelationalModel, holds: Callable, a: int, b: int) -> int:
+    """Worlds ``w`` where ``holds(m, w, a, b)``."""
     out = 0
     for w in range(m.n):
-        if not (m.up[w] & a & ~b):
+        if holds(m, w, a, b):
             out |= 1 << w
     return out
+
+
+def _above(m: BirelationalModel, ok: int) -> int:
+    """Worlds whose whole up-set lies in ``ok``."""
+    out = 0
+    for w in range(m.n):
+        if not (m.up[w] & ~ok):
+            out |= 1 << w
+    return out
+
+
+def _some_successor_in(m: BirelationalModel, w: int, a: int, _b: int) -> bool:
+    return bool(m.succ[w] & a)
+
+
+def _successors_within(m: BirelationalModel, w: int, a: int, _b: int) -> bool:
+    return not (m.succ[w] & ~a & m.full)
+
+
+# The classical rules: the preorder ignored.
+
+def _material(m: BirelationalModel, a: int, b: int) -> int:
+    return (m.full & ~a) | b
+
+
+def _all_next(m: BirelationalModel, a: int) -> int:
+    return _worlds_where(m, _successors_within, a, 0)
+
+
+def _all_until(m: BirelationalModel, a: int, b: int) -> int:
+    return _worlds_where(m, _all_paths_until, a, b)
+
+
+def _all_release(m: BirelationalModel, a: int, b: int) -> int:
+    return _worlds_where(m, _all_paths_release, a, b)
+
+
+# The intuitionistic rules: the universal connectives hold where the
+# classical rule holds on the whole up-set.
+
+def implication_worlds(m: BirelationalModel, a: int, b: int) -> int:
+    return _above(m, _material(m, a, b))
 
 
 def exists_next_worlds(m: BirelationalModel, a: int) -> int:
-    out = 0
-    for w in range(m.n):
-        if m.succ[w] & a:
-            out |= 1 << w
-    return out
+    return _worlds_where(m, _some_successor_in, a, 0)
 
 
 def forall_next_worlds(m: BirelationalModel, a: int) -> int:
-    safe = 0
-    for x in range(m.n):
-        if not (m.succ[x] & ~a & m.full):
-            safe |= 1 << x
-    out = 0
-    for w in range(m.n):
-        if not (m.up[w] & ~safe):
-            out |= 1 << w
-    return out
+    return _above(m, _all_next(m, a))
 
 
 def exists_until_worlds(m: BirelationalModel, a: int, b: int) -> int:
-    out = 0
-    for w in range(m.n):
-        if _some_path_until(m, w, a, b):
-            out |= 1 << w
-    return out
+    return _worlds_where(m, _some_path_until, a, b)
 
 
 def exists_release_worlds(m: BirelationalModel, a: int, b: int) -> int:
-    out = 0
-    for w in range(m.n):
-        if _some_path_release(m, w, a, b):
-            out |= 1 << w
-    return out
+    return _worlds_where(m, _some_path_release, a, b)
 
 
 def forall_until_worlds(m: BirelationalModel, a: int, b: int) -> int:
-    ok = 0
-    for x in range(m.n):
-        if _all_paths_until(m, x, a, b):
-            ok |= 1 << x
-    out = 0
-    for w in range(m.n):
-        if not (m.up[w] & ~ok):
-            out |= 1 << w
-    return out
+    return _above(m, _all_until(m, a, b))
 
 
 def forall_release_worlds(m: BirelationalModel, a: int, b: int) -> int:
-    ok = 0
-    for x in range(m.n):
-        if _all_paths_release(m, x, a, b):
-            ok |= 1 << x
-    out = 0
-    for w in range(m.n):
-        if not (m.up[w] & ~ok):
-            out |= 1 << w
-    return out
+    return _above(m, _all_release(m, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +343,7 @@ def operators() -> tuple[Callable | None, ...]:
 
 def _denotation(m: BirelationalModel, f: Formula, ops) -> dict[Formula, int]:
     program = compile_formulas([f])
-    return dict(zip(program.formulas, run(program, m, ops)))
+    return dict(zip(program.formulas, run(program, m, ops, {})))
 
 
 def oracle_denotation(
@@ -359,27 +366,14 @@ def oracle_check(
 def _classical_operators() -> tuple[Callable | None, ...]:
     """Plain CTL rules indexed by node kind: no up-set quantification."""
     return (None,) * _IMP + (
-        lambda m, a, b: (m.full & ~a) | b,  # material implication
+        _material,
         exists_next_worlds,
-        lambda m, a: _worlds_where(m, _successors_within, a, 0),
+        _all_next,
         exists_until_worlds,
         exists_release_worlds,
-        lambda m, a, b: _worlds_where(m, _all_paths_until, a, b),
-        lambda m, a, b: _worlds_where(m, _all_paths_release, a, b),
+        _all_until,
+        _all_release,
     )
-
-
-def _worlds_where(m: BirelationalModel, holds: Callable, a: int, b: int) -> int:
-    """Worlds ``w`` where ``holds(m, w, a, b)``."""
-    out = 0
-    for w in range(m.n):
-        if holds(m, w, a, b):
-            out |= 1 << w
-    return out
-
-
-def _successors_within(m: BirelationalModel, w: int, a: int, _b: int) -> bool:
-    return not (m.succ[w] & ~a & m.full)
 
 
 def classical_denotation(m: BirelationalModel, f: Formula) -> dict[Formula, int]:

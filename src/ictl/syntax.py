@@ -27,7 +27,9 @@ table of ``(kind, left, right)`` nodes with children before parents, and
 :func:`run` is the one loop that evaluates such a table over a model.  It
 computes atoms, ``false``, ``&`` and ``|`` itself and hands every other
 node to a kind-indexed operator table; the fixpoint engine, the path
-oracle and the classical semantics differ only in their tables.
+oracle and the classical semantics differ only in their tables.  It
+memoizes every operator result by the operator and its child masks, in
+a memo the caller passes: fresh per model, or shared by a frame's models.
 """
 
 from __future__ import annotations
@@ -281,17 +283,31 @@ def compile_formulas(formulas: Iterable[Formula]) -> Program:
     return Program(table, nodes, atom_slots)
 
 
-def run(program: Program, m: BirelationalModel, ops: Sequence[Callable | None]) -> list[int]:
+def run(
+    program: Program, m: BirelationalModel, ops: Sequence[Callable | None], memo: dict[int, int]
+) -> list[int]:
     """World-set bitmask of every node of ``program`` on model ``m``, in
     table order: atoms read ``m``'s valuation, ``false`` is empty, ``&`` and
     ``|`` are intersection and union, and a node of kind ``k >= _IMP`` is
-    ``ops[k](m, a)`` or ``ops[k](m, a, b)`` over its children's masks."""
+    ``ops[k](m, a)`` or ``ops[k](m, a, b)`` over its children's masks.
+
+    That result depends only on the frame and the child masks, so ``memo``
+    keeps it under ``(k, a, b)`` packed into one int, and each distinct
+    application runs once; runs on models of one frame may share ``memo``.
+    """
     atoms = program.atom_slots
+    shift = m.n  # masks fit in m.n bits
     vals: list[int] = []
     push = vals.append
     for kind, l, r in program.nodes:
         if kind >= _IMP:
-            push(ops[kind](m, vals[l]) if r < 0 else ops[kind](m, vals[l], vals[r]))
+            a = vals[l]
+            b = vals[r] if r >= 0 else 0
+            key = ((kind << shift | a) << shift) | b
+            v = memo.get(key)
+            if v is None:
+                v = memo[key] = ops[kind](m, a) if r < 0 else ops[kind](m, a, b)
+            push(v)
         elif kind == _AND:
             push(vals[l] & vals[r])
         elif kind == _OR:

@@ -33,7 +33,7 @@ from ictl.model import (
     up_interior,
 )
 from ictl.oracle import Lasso
-from ictl.syntax import Atom, Implies, compile_formulas, parse_formula, subformulas
+from ictl.syntax import _IMP, Atom, Implies, compile_formulas, parse_formula, subformulas
 
 
 def mask(m, *names):
@@ -383,7 +383,24 @@ class TestDispatch:
 
         result = find_countermodel(parse_formula("AX p -> p"), max_worlds=1)
         assert result.outcome == "exhausted"
-        assert len(calls) == result.models_checked == 4
+        assert result.models_checked == 4
+        assert len(calls) == 2  # the frame's memo: one call per distinct p mask
+
+    def test_each_distinct_application_runs_once(self, monkeypatch, four_world):
+        calls = []
+        original = checker.implication_set
+
+        def counting(m, a, b):
+            calls.append((a, b))
+            return original(m, a, b)
+
+        monkeypatch.setattr(checker, "implication_set", counting)
+        program = compile_formulas([parse_formula("~~~~p")])
+        vals = evaluate(four_world, program)
+        applied = [(vals[l], vals[r]) for kind, l, r in program.nodes if kind >= _IMP]
+        assert len(applied) == 4  # ~~~p is ~p, so ~~~~p repeats the application of ~~p
+        assert sorted(calls) == sorted(set(applied))
+        assert len(calls) < len(applied)
 
     def test_scan_models(self, calls):
         from ictl.harness import scan_models

@@ -287,6 +287,38 @@ class TestDeepInput:
         assert "satisfied" in out
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    @pytest.mark.parametrize(
+        "option, argv",
+        [
+            ("--max-worlds", ["compare", "--max-worlds", "-5", "--samples", "2"]),
+            ("--atoms", ["compare", "--atoms", "-1"]),
+            ("--samples", ["compare", "--samples", "-1"]),
+            ("--depth", ["compare", "--depth", "-2"]),
+            ("--max-worlds", ["countermodel", "p", "--max-worlds", "-1", "--budget", "2"]),
+            ("--atoms", ["countermodel", "p", "--atoms", "-1"]),
+            ("--budget", ["countermodel", "p", "--budget", "-3"]),
+        ],
+    )
+    def test_negative_count_exit_2(self, capsys, fmt, option, argv):
+        code, out, err = run(capsys, "--format", fmt, *argv)
+        assert code == 2
+        message = json.loads(out)["error"] if fmt == "json" else err
+        assert f"{option} must be >= 0" in message
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    @pytest.mark.parametrize("command", ["validate", "check", "denote"])
+    def test_model_not_utf8_exit_2(self, capsys, tmp_path, fmt, command):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        argv = {"validate": [], "check": ["w0", "p"], "denote": ["p"]}[command]
+        code, out, err = run(capsys, "--format", fmt, command, str(path), *argv)
+        assert code == 2
+        message = json.loads(out)["error"] if fmt == "json" else err
+        assert "not UTF-8" in message
+
+
 class TestCompare:
     def test_small_bounds_agree(self, capsys):
         code, out, _ = run(capsys, "compare", "--max-worlds", "2", "--samples", "4")

@@ -14,6 +14,7 @@ from ictl.gen import (
     enumerate_preorders,
     find_countermodel,
     frame_conditions_hold,
+    model_stream,
     product_frame,
     random_formula,
     random_model,
@@ -231,6 +232,25 @@ class TestProductFrame:
             m = product_frame(stages, order, states, trans, val)
             assert m.n == nk * ns
             assert validate_frame(m).ok
+
+
+class TestModelStream:
+    def test_exhaustive_then_samples(self):
+        models = list(model_stream(2, 1, samples=4, seed=3))
+        exhaustive = [m for n in (1, 2) for m in enumerate_models(n, 1)]
+        assert len(models) == len(exhaustive) + 4
+        for m, e in zip(models, exhaustive):
+            assert (m.up, m.succ, m.val) == (e.up, e.succ, e.val)
+        assert [m.n for m in models[len(exhaustive):]] == [3, 4, 5, 3]
+        for m in models:
+            assert validate_frame(m).ok
+
+    def test_seeded(self):
+        def frames(seed):
+            return [(m.up, m.succ, m.val) for m in model_stream(0, 2, samples=5, seed=seed)]
+
+        assert frames(4) == frames(4)
+        assert frames(4) != frames(5)
 
 
 class TestFindCountermodel:

@@ -325,3 +325,14 @@ class TestFrameViolations:
                 broken += bool(expected)
         assert candidates == len(enumerate_preorders(n)) * ((1 << n) - 1) ** n
         assert (n == 1) == (broken == 0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_serial_candidates_agree_with_definition(self, n):
+        # the repair loop may see worlds without successors
+        for up in enumerate_preorders(n):
+            for succ in product(range(1 << n), repeat=n):
+                if all(succ):
+                    continue
+                expected = definitional_breaches(up, succ)
+                found = list(frame_violations(up, succ))
+                assert found == sorted(expected, key=lambda v: (v[1], v[2], v[0], v[3]))
