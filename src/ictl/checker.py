@@ -30,11 +30,12 @@ round by round.  Each until/release set comes from one backward worklist
 over the model's predecessor masks, as in the CTL labeling of Clarke,
 Emerson and Sistla: :func:`_backward` grows a set from a seed by adding
 the allowed worlds with some (or all) R-successors already inside,
-looking only at predecessors of the worlds added last, so each world
-enters the frontier at most once.  E[f U g] grows from [[g]] through
-[[f]] with "some", A[f U g] with "all"; the release sets are the
-complements of the dual untils, E[f R g] = ~(grow ~[[g]] through ~[[f]]
-with "all") and A[f R g] = interior(~(the same with "some")).
+looking only at ``image(pred, frontier)``, the predecessors of the
+worlds added last, so each world enters the frontier at most once.
+E[f U g] grows from [[g]] through [[f]] with "some", A[f U g] with
+"all"; the release sets are the complements of the dual untils,
+E[f R g] = ~(grow ~[[g]] through ~[[f]] with "all") and
+A[f R g] = interior(~(the same with "some")).
 :func:`lfp` (also :func:`gfp`) iterates an equation as written and is
 kept for checking the kernel against the definition.
 
@@ -52,6 +53,7 @@ from .model import (
     BirelationalModel,
     complement,
     ensure_valid,
+    image,
     iter_bits,
     pre_exists,
     pre_forall,
@@ -131,11 +133,21 @@ def exists_release_set(m: BirelationalModel, a: int, b: int) -> int:
 
 
 def forall_until_set(m: BirelationalModel, a: int, b: int) -> int:
-    return up_interior(m, _backward(m, b, a, True))
+    return up_interior(m, _classical_au(m, a, b))
 
 
 def forall_release_set(m: BirelationalModel, a: int, b: int) -> int:
-    return up_interior(m, complement(m, _backward(m, complement(m, b), complement(m, a), False)))
+    return up_interior(m, _classical_ar(m, a, b))
+
+
+def _classical_au(m: BirelationalModel, a: int, b: int) -> int:
+    """Worlds where every R-path satisfies ``a U b``, the preorder ignored."""
+    return _backward(m, b, a, True)
+
+
+def _classical_ar(m: BirelationalModel, a: int, b: int) -> int:
+    """Worlds where every R-path satisfies ``a R b``, the preorder ignored."""
+    return complement(m, _backward(m, complement(m, b), complement(m, a), False))
 
 
 def _backward(m: BirelationalModel, start: int, allowed: int, every: bool) -> int:
@@ -155,10 +167,7 @@ def _backward(m: BirelationalModel, start: int, allowed: int, every: bool) -> in
     allowed &= ~z
     frontier = z
     while frontier:
-        cand = 0
-        for x in iter_bits(frontier):
-            cand |= pred[x]
-        cand &= allowed
+        cand = image(pred, frontier) & allowed
         if every:
             outside = ~z
             for c in iter_bits(cand):
@@ -366,8 +375,7 @@ def _ax_failure(m: BirelationalModel, w: int, amask: int) -> UniversalFailure | 
 def _au_failure(m: BirelationalModel, w: int, amask: int, bmask: int) -> UniversalFailure | None:
     # classical until fails along some path from a P-greater world: either a
     # path through ~g to a ~f&~g world, or a ~g cycle reached through ~g
-    classical = _backward(m, bmask, amask, True)
-    for wp in iter_bits(m.up[w] & ~classical):
+    for wp in iter_bits(m.up[w] & ~_classical_au(m, amask, bmask)):
         path = _shortest_path_in(m, wp, ~bmask & m.full, m.full & ~amask & ~bmask)
         if path is not None:
             return UniversalFailure(m.worlds[wp], _extend_to_lasso(m, path))
@@ -379,10 +387,7 @@ def _au_failure(m: BirelationalModel, w: int, amask: int, bmask: int) -> Univers
 
 def _ar_failure(m: BirelationalModel, w: int, amask: int, bmask: int) -> UniversalFailure | None:
     # classical release fails via a path through ~f to a ~g world
-    classical = complement(
-        m, _backward(m, complement(m, bmask), complement(m, amask), False)
-    )
-    for wp in iter_bits(m.up[w] & ~classical):
+    for wp in iter_bits(m.up[w] & ~_classical_ar(m, amask, bmask)):
         path = _shortest_path_in(m, wp, m.full & ~amask, m.full & ~bmask)
         if path is not None:
             return UniversalFailure(m.worlds[wp], _extend_to_lasso(m, path))

@@ -34,6 +34,9 @@ from .oracle import Lasso, oracle_check
 from .syntax import ParseError, parse_formula, print_formula
 
 COMPARE_FORMULAS_PER_RUN = 24
+# the battery grows about 1.4x per level: 41 distinct nodes at depth 3,
+# 2,881 at depth 16 (seed 0)
+MAX_COMPARE_DEPTH = 16
 
 
 # options that count something; a negative value is a usage error
@@ -181,6 +184,8 @@ def _cmd_countermodel(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_compare(args) -> tuple[int, dict, list[str]]:
+    if args.depth > MAX_COMPARE_DEPTH:
+        raise _UsageError(f"--depth must be <= {MAX_COMPARE_DEPTH}, got {args.depth}")
     rng = random.Random(args.seed)
     names = atom_names(args.atoms)
     formulas = [
@@ -267,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="differential engine-vs-oracle testing")
     p.add_argument("--max-worlds", type=int, default=3)
     p.add_argument("--atoms", type=int, default=2)
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=int, default=3, help=f"formula height, at most {MAX_COMPARE_DEPTH}")
     p.add_argument("--samples", type=int, default=0, help="extra random models")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_compare)

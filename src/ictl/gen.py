@@ -30,7 +30,7 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .checker import operators
-from .model import BirelationalModel, _close_masks, frame_violations, iter_bits
+from .model import BirelationalModel, _close_masks, frame_violations, image, iter_bits
 from .oracle import oracle_check
 from .syntax import (
     And,
@@ -112,26 +112,14 @@ def enumerate_preorders(n: int) -> tuple[tuple[int, ...], ...]:
         for k, (i, j) in enumerate(pairs):
             if bits >> k & 1:
                 up[i] |= 1 << j
-        if all(_closed_under(up, i) for i in range(n)):
+        if all(image(up, u) == u for u in up):
             out.append(tuple(up))
     return tuple(out)
 
 
-def _closed_under(up: list[int], i: int) -> bool:
-    acc = up[i]
-    for j in iter_bits(up[i]):
-        acc |= up[j]
-    return acc == up[i]
-
-
 def upward_closed_masks(up: Sequence[int]) -> list[int]:
     """All P-upward-closed world sets of a closed preorder."""
-    n = len(up)
-    out = []
-    for mask in range(1 << n):
-        if all(not (up[i] & ~mask) for i in iter_bits(mask)):
-            out.append(mask)
-    return out
+    return [mask for mask in range(1 << len(up)) if not (image(up, mask) & ~mask)]
 
 
 def frame_conditions_hold(up: Sequence[int], succ: Sequence[int]) -> bool:
@@ -218,10 +206,7 @@ def random_model(params: GenParams) -> BirelationalModel:
         for i in range(n):
             if rng.random() < 0.5:
                 base |= 1 << i
-        closed = 0
-        for i in iter_bits(base):
-            closed |= up[i]
-        val[atom] = closed
+        val[atom] = image(up, base)
     return BirelationalModel(worlds, tuple(up), tuple(succ), val)
 
 

@@ -9,9 +9,21 @@ along P.  Frames must additionally satisfy the two commutation conditions
 
 World sets are plain ``int`` bitmasks over the world indices; relations
 are tuples of per-world bitmasks.  ``up[i]`` holds the worlds P-above
-world ``i`` (including ``i``), ``succ[i]`` its R-successors and
-``pred[i]`` its R-predecessors.  :meth:`BirelationalModel.with_valuation`
-puts another valuation on the same frame, sharing all of its masks.
+world ``i`` (including ``i``), ``down[i]`` the worlds P-below it,
+``succ[i]`` its R-successors and ``pred[i]`` its R-predecessors.
+:meth:`BirelationalModel.with_valuation` puts another valuation on the
+same frame, sharing all of its masks.
+
+Every quantifier over a relation is one :func:`image`, the union of
+``rel[j]`` over the worlds ``j`` of a set, which costs the set's bits,
+not the world count.  The set operators are images over the stored
+inverse relations, or their duals:
+
+    pre_exists(X)  = image(pred, X)
+    pre_forall(X)  = ~image(pred, ~X)
+    up_interior(X) = ~image(down, ~X)
+
+(complements taken within the world set).
 
 :func:`frame_violations` is the one C1/C2 check: :func:`validate_frame`
 reports what it yields, and the generators stop at its first breach.
@@ -47,6 +59,7 @@ __all__ = [
     "pre_forall",
     "complement",
     "is_upward_closed",
+    "image",
     "iter_bits",
     "is_isomorphic",
 ]
@@ -72,6 +85,26 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def image(rel: Sequence[int], mask: int) -> int:
+    """Union of ``rel[j]`` over the set bits ``j`` of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rel[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _transpose(rel: Sequence[int]) -> tuple[int, ...]:
+    """``out[j]``: the worlds ``i`` with ``j`` in ``rel[i]``."""
+    out = [0] * len(rel)
+    for i, s in enumerate(rel):
+        bit = 1 << i
+        for j in iter_bits(s):
+            out[j] |= bit
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -166,29 +199,17 @@ def _close_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     while changed:
         changed = False
         for i in range(n):
-            acc = up[i]
-            for j in iter_bits(acc):
-                acc |= up[j]
+            acc = image(up, up[i])
             if acc != up[i]:
                 up[i] = acc
                 changed = True
     return up
 
 
-def _pred_masks(succ: Sequence[int]) -> tuple[int, ...]:
-    """``pred[j]``: the worlds with an R-edge into world ``j``."""
-    pred = [0] * len(succ)
-    for i, s in enumerate(succ):
-        bit = 1 << i
-        for j in iter_bits(s):
-            pred[j] |= bit
-    return tuple(pred)
-
-
 class BirelationalModel:
     """Immutable model over dense world indices; see module docstring."""
 
-    __slots__ = ("worlds", "index", "up", "succ", "pred", "val", "atoms", "n", "full")
+    __slots__ = ("worlds", "index", "up", "down", "succ", "pred", "val", "atoms", "n", "full")
 
     def __init__(
         self,
@@ -200,8 +221,9 @@ class BirelationalModel:
         self.worlds = worlds
         self.index = {w: i for i, w in enumerate(worlds)}
         self.up = up
+        self.down = _transpose(up)
         self.succ = succ
-        self.pred = _pred_masks(succ)
+        self.pred = _transpose(succ)
         self.val = val
         self.atoms = tuple(sorted(val))
         self.n = len(worlds)
@@ -210,8 +232,8 @@ class BirelationalModel:
     def with_valuation(self, val: dict[str, int]) -> "BirelationalModel":
         """The same frame under valuation ``val``; every frame field is shared."""
         m = object.__new__(BirelationalModel)
-        m.worlds, m.index, m.up, m.succ, m.pred = (
-            self.worlds, self.index, self.up, self.succ, self.pred
+        m.worlds, m.index, m.up, m.down, m.succ, m.pred = (
+            self.worlds, self.index, self.up, self.down, self.succ, self.pred
         )
         m.n, m.full = self.n, self.full
         m.val = val
@@ -303,31 +325,17 @@ def up_set(m: BirelationalModel, world: str) -> int:
 
 def up_interior(m: BirelationalModel, mask: int) -> int:
     """Worlds whose whole up-set lies inside ``mask``."""
-    outside = ~mask
-    out = 0
-    for i, u in enumerate(m.up):
-        if not (u & outside):
-            out |= 1 << i
-    return out
+    return m.full & ~image(m.down, m.full & ~mask)
 
 
 def pre_exists(m: BirelationalModel, mask: int) -> int:
     """Worlds with at least one R-successor in ``mask``."""
-    out = 0
-    for i in range(m.n):
-        if m.succ[i] & mask:
-            out |= 1 << i
-    return out
+    return image(m.pred, m.full & mask)
 
 
 def pre_forall(m: BirelationalModel, mask: int) -> int:
     """Worlds all of whose R-successors lie in ``mask``."""
-    outside = ~mask
-    out = 0
-    for i, s in enumerate(m.succ):
-        if not (s & outside):
-            out |= 1 << i
-    return out
+    return m.full & ~image(m.pred, m.full & ~mask)
 
 
 def complement(m: BirelationalModel, mask: int) -> int:
@@ -335,10 +343,7 @@ def complement(m: BirelationalModel, mask: int) -> int:
 
 
 def is_upward_closed(m: BirelationalModel, mask: int) -> bool:
-    for i in iter_bits(mask):
-        if m.up[i] & ~mask:
-            return False
-    return True
+    return not (image(m.up, m.full & mask) & ~mask)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +378,7 @@ def frame_violations(
     up-set of x)."""
     for x in range(len(up)):
         ux = up[x]
-        reach = 0  # the worlds z with some u, x P u and u R z
-        for u in iter_bits(ux):
-            reach |= succ[u]
+        reach = image(succ, ux)  # the worlds z with some u, x P u and u R z
         for y in iter_bits(succ[x]):
             uy = up[y]
             for z in iter_bits(uy & ~reach):
@@ -439,14 +442,10 @@ def validate_frame(
                 )
     if check_c3:
         # C3 (optional): x P y, y R z  =>  exists u: x R u, u P z
-        down = [0] * m.n  # down[z] = worlds u with u P z
-        for u in range(m.n):
-            for z in iter_bits(m.up[u]):
-                down[z] |= 1 << u
         for x in range(m.n):
             for y in iter_bits(m.up[x]):
                 for z in iter_bits(m.succ[y]):
-                    if not (m.succ[x] & down[z]):
+                    if not (m.succ[x] & m.down[z]):
                         emit(
                             "C3",
                             (x, y, z),

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ictl.checker as checker
+import ictl.cli as cli
 import ictl.model as model
 from ictl.cli import main
+from ictl.fixtures import FOUR_WORLD_DOC
 from ictl.model import pre_forall
 
 
@@ -287,6 +292,105 @@ class TestDeepInput:
         assert "satisfied" in out
 
 
+FORMULA_TOKENS = [
+    "p", "q", "zz_9", "~", "EX", "AX", "E", "A", "[", "]", "U", "R",
+    "(", ")", "&", "|", "->", "false", "true",
+]
+# (opening, closing) pieces of one nesting level around "p"
+NESTINGS = [
+    ("~", ""), ("EX ", ""), ("AX ", ""), ("(", ")"), ("p -> ", ""),
+    ("E[p U ", "]"), ("A[", " R q]"), ("p & (", ")"),
+]
+WORLDS = FOUR_WORLD_DOC["worlds"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=12,
+)
+world_names = st.sampled_from([*WORLDS, "x"])
+edges = st.lists(st.lists(world_names, min_size=2, max_size=2), max_size=6)
+
+well_formed = st.recursive(
+    st.sampled_from(["p", "q", "false", "true"]),
+    lambda kids: st.one_of(
+        *(st.builds(f"{op} {{}}".format, kids) for op in ("~", "EX", "AX")),
+        *(st.builds(f"({{}} {op} {{}})".format, kids, kids) for op in ("&", "|", "->")),
+        *(st.builds(f"{q}[{{}} {op} {{}}]".format, kids, kids) for q in "EA" for op in "UR"),
+    ),
+    max_leaves=8,
+)
+fuzz_formulas = st.one_of(
+    well_formed,
+    st.lists(st.sampled_from(FORMULA_TOKENS), max_size=24).map(" ".join),
+    st.text(max_size=16),
+    st.builds(
+        lambda nesting, depth: nesting[0] * depth + "p" + nesting[1] * depth,
+        st.sampled_from(NESTINGS),
+        st.integers(1, 40) | st.sampled_from([300, 999, 1000, 5000, 10_000]),
+    ),
+)
+fuzz_models = st.one_of(
+    st.just(FOUR_WORLD_DOC),
+    # the fixture with one key replaced or added
+    st.builds(
+        lambda key, value: {**FOUR_WORLD_DOC, key: value},
+        st.sampled_from(["worlds", "preorder", "transitions", "valuation", "extra"]),
+        json_values,
+    ),
+    # the fixture's worlds with its relations and valuation redrawn
+    st.builds(
+        lambda pre, extra, val: {
+            **FOUR_WORLD_DOC,
+            "preorder": pre,
+            "transitions": [[w, w] for w in WORLDS] + extra,
+            "valuation": val,
+        },
+        edges,
+        edges,
+        st.dictionaries(world_names, st.lists(st.sampled_from(["p", "q", "Bad"]), max_size=2)),
+    ),
+    json_values,
+).map(lambda doc: json.dumps(doc).encode()) | st.one_of(
+    st.binary(max_size=12),
+    st.integers(1, 10_000).map(lambda k: ("[" * k + "]" * k).encode()),
+)
+
+
+class TestFuzz:
+    """Random and deeply nested formula text and junk model files end in
+    an exit code from 0 to 5, never a traceback; a command line argparse
+    refuses exits 2 through argparse."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        command=st.sampled_from(["check", "denote", "validate", "countermodel"]),
+        fmt=st.sampled_from(["human", "json"]),
+        formula=fuzz_formulas,
+        model=fuzz_models,
+        world=world_names,
+    )
+    def test_main_returns_an_exit_code(self, tmp_path_factory, command, fmt, formula, model, world):
+        path = tmp_path_factory.mktemp("fuzz") / "m.json"
+        path.write_bytes(model)
+        argv = {
+            "check": ["check", str(path), world, formula],
+            "denote": ["denote", str(path), formula],
+            "validate": ["validate", str(path)],
+            "countermodel": ["countermodel", formula, "--max-worlds", "1"],
+        }[command]
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["--format", fmt, *argv])
+        except SystemExit as e:  # argparse's own usage error, printed as text
+            assert e.code == 2
+            return
+        assert 0 <= code <= 5
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if fmt == "json":
+            assert json.loads(out.getvalue())["command"] == command
+
+
 class TestBadInput:
     @pytest.mark.parametrize("fmt", ["human", "json"])
     @pytest.mark.parametrize(
@@ -306,6 +410,18 @@ class TestBadInput:
         assert code == 2
         message = json.loads(out)["error"] if fmt == "json" else err
         assert f"{option} must be >= 0" in message
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_depth_above_cap_exit_2(self, capsys, monkeypatch, fmt):
+        def generating(*args):
+            raise AssertionError("formula generated")
+
+        monkeypatch.setattr(cli, "random_formula", generating)
+        depth = cli.MAX_COMPARE_DEPTH + 1
+        code, out, err = run(capsys, "--format", fmt, "compare", "--depth", str(depth))
+        assert code == 2
+        message = json.loads(out)["error"] if fmt == "json" else err
+        assert f"--depth must be <= {cli.MAX_COMPARE_DEPTH}, got {depth}" in message
 
     @pytest.mark.parametrize("fmt", ["human", "json"])
     @pytest.mark.parametrize("command", ["validate", "check", "denote"])
@@ -344,3 +460,9 @@ class TestCompare:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    def test_depth_cap_accepted(self, capsys):
+        depth = str(cli.MAX_COMPARE_DEPTH)
+        code, out, _ = run(capsys, "compare", "--depth", depth, "--max-worlds", "1")
+        assert code == 0
+        assert "2881 formulas" in out

@@ -1,9 +1,16 @@
+import random
 from itertools import product
 
 import pytest
 
 from ictl.fixtures import FOUR_WORLD_DOC, four_world_model
-from ictl.gen import enumerate_preorders, frame_conditions_hold
+from ictl.gen import (
+    GenParams,
+    enumerate_preorders,
+    frame_conditions_hold,
+    random_model,
+    upward_closed_masks,
+)
 from ictl.model import (
     BirelationalModel,
     ModelFormatError,
@@ -11,8 +18,10 @@ from ictl.model import (
     close_preorder,
     complement,
     frame_violations,
+    image,
     is_isomorphic,
     is_upward_closed,
+    iter_bits,
     load_model,
     model_from_raw,
     model_to_document,
@@ -235,14 +244,126 @@ class TestFrameSharing:
             for j in range(m.n):
                 assert (m.pred[j] >> i & 1) == (m.succ[i] >> j & 1)
 
+    def test_down_inverts_up(self, four_world):
+        m = four_world
+        for i in range(m.n):
+            for j in range(m.n):
+                assert (m.down[j] >> i & 1) == (m.up[i] >> j & 1)
+
     def test_with_valuation_shares_the_frame(self, four_world):
         m = four_world
         other = m.with_valuation({"r": m.full, "a": 0})
-        for name in ("worlds", "index", "up", "succ", "pred", "n", "full"):
+        for name in ("worlds", "index", "up", "down", "succ", "pred", "n", "full"):
             assert getattr(other, name) is getattr(m, name), name
         assert other.val == {"r": m.full, "a": 0}
         assert other.atoms == ("a", "r")
         assert m.atoms == ("p", "q") and validate_frame(other).ok
+
+
+# The per-world loops the set operators were written as, kept as references
+# for the relational-image kernel.
+
+def loop_up_interior(m, mask):
+    outside = ~mask
+    out = 0
+    for i, u in enumerate(m.up):
+        if not (u & outside):
+            out |= 1 << i
+    return out
+
+
+def loop_pre_exists(m, mask):
+    out = 0
+    for i in range(m.n):
+        if m.succ[i] & mask:
+            out |= 1 << i
+    return out
+
+
+def loop_pre_forall(m, mask):
+    outside = ~mask
+    out = 0
+    for i, s in enumerate(m.succ):
+        if not (s & outside):
+            out |= 1 << i
+    return out
+
+
+def loop_is_upward_closed(m, mask):
+    for i in iter_bits(mask):
+        if m.up[i] & ~mask:
+            return False
+    return True
+
+
+def loop_upward_closed_masks(up):
+    n = len(up)
+    out = []
+    for mask in range(1 << n):
+        if all(not (up[i] & ~mask) for i in iter_bits(mask)):
+            out.append(mask)
+    return out
+
+
+KERNEL = [
+    (up_interior, loop_up_interior),
+    (pre_exists, loop_pre_exists),
+    (pre_forall, loop_pre_forall),
+    (is_upward_closed, loop_is_upward_closed),
+]
+
+
+def assert_kernel_matches_loops(m, masks):
+    for mask in masks:
+        for op, loop in KERNEL:
+            assert op(m, mask) == loop(m, mask), (op.__name__, m.up, m.succ, mask)
+
+
+class TestKernel:
+    """The set operators, written as relational images over the stored
+    inverse relations, equal the per-world loops they replaced."""
+
+    def test_image_is_the_union_over_the_bits(self):
+        rel = (0b0110, 0b0001, 0b1000, 0b0000)
+        for mask in range(16):
+            expected = 0
+            for j in range(4):
+                if mask >> j & 1:
+                    expected |= rel[j]
+            assert image(rel, mask) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_candidate_frame_every_mask(self, n):
+        # the corpus of TestFrameViolations, worlds without successors included
+        worlds = tuple(f"w{i}" for i in range(n))
+        for up in enumerate_preorders(n):
+            assert upward_closed_masks(up) == loop_upward_closed_masks(up)
+            for succ in product(range(1 << n), repeat=n):
+                assert_kernel_matches_loops(
+                    BirelationalModel(worlds, up, succ, {}), range(1 << n)
+                )
+
+    def test_random_models(self):
+        rng = random.Random(6)
+        for k in range(300):
+            n = rng.randint(4, 8)
+            m = random_model(GenParams(n_worlds=n, n_atoms=1, seed=k))
+            masks = [rng.getrandbits(n) for _ in range(8)] + [m.val["p"], 0, m.full]
+            assert_kernel_matches_loops(m, masks)
+            assert upward_closed_masks(m.up) == loop_upward_closed_masks(m.up)
+
+    def test_unclosed_preorder(self):
+        # neither reflexive nor transitive, and world c has no successor
+        m = BirelationalModel(("a", "b", "c"), (0b010, 0b100, 0b001), (0b010, 0b101, 0), {})
+        assert_kernel_matches_loops(m, range(8))
+        assert upward_closed_masks(m.up) == loop_upward_closed_masks(m.up)
+
+    def test_bits_above_the_worlds_are_ignored(self, four_world):
+        m = four_world
+        for mask in range(m.full + 1):
+            for high in (1 << m.n, 0b1011 << m.n + 3):
+                for op, loop in KERNEL:
+                    assert op(m, mask | high) == loop(m, mask), (op.__name__, mask, high)
 
 
 class TestDocumentRoundTrip:

@@ -1,6 +1,9 @@
+import inspect
+
 import pytest
 
 import ictl.checker as checker
+import ictl.model as model
 import ictl.oracle as oracle
 from ictl.checker import check, denote
 from ictl.gen import GenParams, random_model
@@ -210,6 +213,16 @@ class TestOperatorTables:
         assert sets[parse_formula("EX p")] == original(four_world, four_world.atom_mask("p"))
 
     def test_independent_of_the_engine(self, monkeypatch, four_world):
+        # no global of the oracle is an engine set operator or checker function
+        engine = [model.image, model.pre_exists, model.pre_forall, model.up_interior]
+        engine += [model.complement]
+        engine += [
+            v for v in vars(checker).values()
+            if inspect.isfunction(v) and v.__module__ == checker.__name__
+        ]
+        for name, value in vars(oracle).items():
+            assert not any(value is e for e in engine), name
+
         def broken(*args):
             raise AssertionError("engine rule called")
 
