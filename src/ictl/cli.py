@@ -6,7 +6,8 @@ search exhausted, 2 input error, 3 invalid frame, 4 engine disagreement,
 5 search budget exceeded.
 
 With ``--format json`` each invocation emits a single document shaped
-``{"command": ..., "verdict": ..., "witness": ..., "report": [...]}``.
+``{"command": ..., "verdict": ..., "witness": ..., "report": [...]}``;
+an error, a command line argparse refuses included, adds ``"error"``.
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ from .model import (
     validate_frame,
 )
 from .oracle import Lasso, oracle_check
-from .syntax import ParseError, parse_formula, print_formula
+from .syntax import ParseError, atoms_of, parse_formula, print_formula
 
 COMPARE_FORMULAS_PER_RUN = 24
 # the battery grows about 1.4x per level: 41 distinct nodes at depth 3,
 # 2,881 at depth 16 (seed 0)
 MAX_COMPARE_DEPTH = 16
+# each atom doubles the valuations of a frame: 65,536 on one world at 16
+MAX_SEARCH_ATOMS = 16
 
 
 # options that count something; a negative value is a usage error
@@ -45,6 +48,22 @@ _COUNT_OPTIONS = ("max_worlds", "atoms", "budget", "samples", "depth")
 
 class _UsageError(ValueError):
     """A command-line value out of range."""
+
+
+class _ArgumentError(Exception):
+    """A command line argparse refuses, with argparse's usage message."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.text = f"{parser.format_usage()}{parser.prog}: error: {message}"
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises :class:`_ArgumentError` instead of exiting, so that ``main``
+    reports a usage error in the chosen ``--format``."""
+
+    def error(self, message: str):
+        raise _ArgumentError(self, message)
 
 
 def _read_model(path: str) -> BirelationalModel:
@@ -153,6 +172,12 @@ def _cmd_denote(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_countermodel(args) -> tuple[int, dict, list[str]]:
     f = parse_formula(args.formula)
+    n_atoms = max(len(atoms_of(f)), args.atoms)
+    if n_atoms > MAX_SEARCH_ATOMS:
+        raise _UsageError(
+            f"the search has {n_atoms} atoms (the formula's, padded to --atoms); "
+            f"at most {MAX_SEARCH_ATOMS} are allowed"
+        )
     result = find_countermodel(
         f, max_worlds=args.max_worlds, atoms=args.atoms, budget=args.budget, seed=args.seed
     )
@@ -186,6 +211,8 @@ def _cmd_countermodel(args) -> tuple[int, dict, list[str]]:
 def _cmd_compare(args) -> tuple[int, dict, list[str]]:
     if args.depth > MAX_COMPARE_DEPTH:
         raise _UsageError(f"--depth must be <= {MAX_COMPARE_DEPTH}, got {args.depth}")
+    if args.atoms > MAX_SEARCH_ATOMS:
+        raise _UsageError(f"--atoms must be <= {MAX_SEARCH_ATOMS}, got {args.atoms}")
     rng = random.Random(args.seed)
     names = atom_names(args.atoms)
     formulas = [
@@ -235,7 +262,7 @@ def _cmd_compare(args) -> tuple[int, dict, list[str]]:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ictl",
         description="Model checking over birelational Kripke models.",
     )
@@ -264,14 +291,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("countermodel", help="search for a model refuting a formula")
     p.add_argument("formula")
     p.add_argument("--max-worlds", type=int, default=3)
-    p.add_argument("--atoms", type=int, default=2)
+    p.add_argument(
+        "--atoms",
+        type=int,
+        default=2,
+        help=f"atoms to search, at least the formula's; at most {MAX_SEARCH_ATOMS}",
+    )
     p.add_argument("--budget", type=int, default=0, help="random models after the exhaustive scan")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_countermodel)
 
     p = sub.add_parser("compare", help="differential engine-vs-oracle testing")
     p.add_argument("--max-worlds", type=int, default=3)
-    p.add_argument("--atoms", type=int, default=2)
+    p.add_argument("--atoms", type=int, default=2, help=f"at most {MAX_SEARCH_ATOMS}")
     p.add_argument("--depth", type=int, default=3, help=f"formula height, at most {MAX_COMPARE_DEPTH}")
     p.add_argument("--samples", type=int, default=0, help="extra random models")
     p.add_argument("--seed", type=int, default=0)
@@ -280,14 +312,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    # filled while parsing, so a usage error still knows --format and the command
+    args = argparse.Namespace()
     is_error = False
     try:
+        _build_parser().parse_args(argv, args)
         for name in _COUNT_OPTIONS:
             if getattr(args, name, 0) < 0:
                 option = "--" + name.replace("_", "-")
                 raise _UsageError(f"{option} must be >= 0, got {getattr(args, name)}")
         code, doc, lines = args.handler(args)
+    except _ArgumentError as e:
+        code, doc, lines, is_error = 2, {"error": str(e)}, [e.text], True
     except (ParseError, ModelFormatError, _UsageError, KeyError, OSError, RecursionError) as e:
         msg = e.args[0] if isinstance(e, KeyError) and e.args else e  # str(KeyError) quotes
         if isinstance(e, RecursionError):

@@ -11,14 +11,20 @@ Three ways to produce valid models:
 * :func:`product_frame` builds one correct by construction from a stage
   poset and an ordinary serial transition graph.
 
-:func:`model_stream` is the exhaustive stream followed by seeded random
-samples; :func:`find_countermodel` and ``ictl compare`` both scan it.
+:func:`frame_batches` is the one exhaustive source: each valid frame of
+a world count with its valuations, as tuples of masks in batches of at
+most :data:`~ictl.syntax.MAX_BATCH`.  :func:`model_batches` chains those
+batches over world counts and appends seeded random models as batches of
+one; :func:`enumerate_models` and :func:`model_stream` are the same
+streams one model at a time, and ``ictl compare`` scans the latter.
+
 :func:`find_countermodel` looks for a model and world refuting a formula,
 double-checking any hit against the path oracle before returning it.  It
 compiles the formula once into a :class:`~ictl.syntax.Program`, with its
-atoms bound to the generators' atom slots, and runs it on each model with
-:func:`~ictl.syntax.run`, the engine's rules, read once per search, and
-one operator memo per frame, which the frame's valuations share.
+atoms bound to the generators' atom slots, and evaluates each batch in
+one :func:`~ictl.syntax.run_frame` call, with the engine's rules, read
+once per search, and one operator memo per frame.  Only a hit is built
+into a model.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Iterator, Sequence
 
 from .checker import operators
@@ -44,9 +50,10 @@ from .syntax import (
     ForallUntil,
     Formula,
     Implies,
+    MAX_BATCH,
     Or,
     compile_formulas,
-    run,
+    run_frame,
 )
 
 __all__ = [
@@ -58,8 +65,10 @@ __all__ = [
     "upward_closed_masks",
     "frame_conditions_hold",
     "enumerate_frames",
+    "frame_batches",
     "enumerate_models",
     "random_model",
+    "model_batches",
     "model_stream",
     "product_frame",
     "find_countermodel",
@@ -137,19 +146,42 @@ def enumerate_frames(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]
                 yield up, succ
 
 
+Batch = tuple[BirelationalModel, list[tuple[int, ...]]]
+
+
+def frame_batches(n: int, a: int) -> Iterator[Batch]:
+    """Every valid frame with ``n`` worlds, paired with its valuations of
+    ``a`` atoms, deterministically.
+
+    A valuation is a tuple of upward-closed masks, one per
+    :func:`atom_names` slot.  A frame with more than
+    :data:`~ictl.syntax.MAX_BATCH` valuations comes as several
+    consecutive batches that carry the same frame object.
+    """
+    worlds = tuple(f"w{i}" for i in range(n))
+    for up, succ in enumerate_frames(n):
+        frame = BirelationalModel(worlds, up, succ, {})
+        assignments = product(upward_closed_masks(up), repeat=a)
+        while batch := list(islice(assignments, MAX_BATCH)):
+            yield frame, batch
+
+
+def _models(batches: Iterable[Batch], a: int) -> Iterator[BirelationalModel]:
+    names = atom_names(a)
+    for frame, batch in batches:
+        for assignment in batch:
+            yield frame.with_valuation(dict(zip(names, assignment)))
+
+
 def enumerate_models(n: int, a: int) -> Iterator[BirelationalModel]:
-    """Every valid model with ``n`` worlds and ``a`` atoms, deterministically.
+    """Every valid model with ``n`` worlds and ``a`` atoms, deterministically:
+    the :func:`frame_batches` one valuation at a time.
 
     Worlds are named ``w0 .. w{n-1}``; atoms come from :func:`atom_names`.
     The models of one frame share its masks (see
     :meth:`~ictl.model.BirelationalModel.with_valuation`).
     """
-    worlds = tuple(f"w{i}" for i in range(n))
-    names = atom_names(a)
-    for up, succ in enumerate_frames(n):
-        frame = BirelationalModel(worlds, up, succ, {})
-        for assignment in product(upward_closed_masks(up), repeat=a):
-            yield frame.with_valuation(dict(zip(names, assignment)))
+    yield from _models(frame_batches(n, a), a)
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +242,30 @@ def random_model(params: GenParams) -> BirelationalModel:
     return BirelationalModel(worlds, tuple(up), tuple(succ), val)
 
 
+def model_batches(
+    max_worlds: int, atoms: int, samples: int = 0, seed: int = 0
+) -> Iterator[Batch]:
+    """The :func:`frame_batches` of every world count up to ``max_worlds``,
+    then ``samples`` random models, each a batch of one: the ``k``-th has
+    ``max_worlds + 1 + k % 3`` worlds and its seed drawn from
+    ``random.Random(seed)``."""
+    for n in range(1, max_worlds + 1):
+        yield from frame_batches(n, atoms)
+    names = atom_names(atoms)
+    rng = random.Random(seed)
+    for k in range(samples):
+        m = random_model(
+            GenParams(n_worlds=max_worlds + 1 + k % 3, n_atoms=atoms, seed=rng.getrandbits(63))
+        )
+        yield m, [tuple(m.val[x] for x in names)]
+
+
 def model_stream(
     max_worlds: int, atoms: int, samples: int = 0, seed: int = 0
 ) -> Iterator[BirelationalModel]:
-    """Every valid model with up to ``max_worlds`` worlds, then ``samples``
-    random models, the ``k``-th with ``max_worlds + 1 + k % 3`` worlds and
-    its seed drawn from ``random.Random(seed)``."""
-    for n in range(1, max_worlds + 1):
-        yield from enumerate_models(n, atoms)
-    rng = random.Random(seed)
-    for k in range(samples):
-        yield random_model(
-            GenParams(n_worlds=max_worlds + 1 + k % 3, n_atoms=atoms, seed=rng.getrandbits(63))
-        )
+    """The :func:`model_batches` one model at a time: every valid model with
+    up to ``max_worlds`` worlds, then ``samples`` random models."""
+    yield from _models(model_batches(max_worlds, atoms, samples, seed), atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +378,11 @@ def find_countermodel(
     worlds (complete, so the ``exhausted`` outcome is a proof of validity
     within the bounds), then up to ``budget`` random models of larger
     sizes.  ``f`` is compiled once, with its atoms bound to the
-    generators' atom slots, and run on each model with the engine rules
-    bound when the search starts and a memo per frame; only a hit is
-    renamed to ``f``'s atoms.  Hits are verified with the path oracle; a
+    generators' atom slots, and evaluated one :func:`model_batches` batch
+    at a time with the engine rules bound when the search starts and a
+    memo per frame; only a hit is built into a model, renamed to ``f``'s
+    atoms, and ``models_checked`` is its position in the
+    :func:`model_stream`.  Hits are verified with the path oracle; a
     verdict mismatch raises :class:`EngineDisagreementError` rather than
     returning a bogus model.
     """
@@ -346,16 +391,20 @@ def find_countermodel(
     program = replace(program, atom_slots=[slots[a] for a in program.atom_slots])
     ops = operators()
     names = list(slots)
+    generated = atom_names(len(names))
     bounds = {"max_worlds": max_worlds, "atoms": names, "budget": budget, "seed": seed}
     checked = 0
     frame = None
-    for m in model_stream(max_worlds, len(names), budget, seed):
-        checked += 1
-        if (m.up, m.succ) != frame:
-            frame, memo = (m.up, m.succ), {}
-        mask = run(program, m, ops, memo)[-1]
-        if mask != m.full:
-            return _countermodel(f, m, mask, slots, checked, bounds)
+    for batch_frame, batch in model_batches(max_worlds, len(names), budget, seed):
+        if batch_frame is not frame:
+            frame, memo = batch_frame, {}
+        columns = dict(zip(generated, zip(*batch)))
+        top = run_frame(program, frame, columns, len(batch), ops, memo)[-1]
+        if top.count(frame.full) < len(batch):
+            i, mask = next((i, v) for i, v in enumerate(top) if v != frame.full)
+            m = frame.with_valuation(dict(zip(generated, batch[i])))
+            return _countermodel(f, m, mask, slots, checked + i + 1, bounds)
+        checked += len(batch)
     outcome = "exhausted" if budget <= 0 else "budget_exceeded"
     return SearchResult(outcome, None, None, checked, bounds)
 

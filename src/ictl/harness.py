@@ -2,29 +2,32 @@
 
 The formula battery is compiled once into one
 :class:`~ictl.syntax.Program`; ``compile_battery`` is
-:func:`~ictl.syntax.compile_formulas`.  Each model is evaluated with
-:func:`~ictl.syntax.run` and a *comparing* operator table: each of its
-rules runs the engine rule from :func:`ictl.checker.operators` and the
-oracle rule from :func:`ictl.oracle.operators`, notes the application
-when their masks differ, and returns the engine's mask.  Because each
-engine's verdict for a compound node is a pure function of the frame and
-the child verdict sets, ``run``'s memo is kept per frame, so the models
-of one frame share every application and both engines run only on a
-memo miss.  Agreement on every application reached in a model is exactly
-agreement on every formula of the battery at every world of that model.
-Only a model whose frame has a noted mismatch is walked again, to report
-each mismatching node with a concrete witnessing formula and world.
+:func:`~ictl.syntax.compile_formulas`.  Consecutive models of one frame
+(same preorder and transition masks) form a batch of at most
+:data:`~ictl.syntax.MAX_BATCH`, evaluated in one
+:func:`~ictl.syntax.run_frame` call with a *comparing* operator table:
+each of its rules runs the engine rule from :func:`ictl.checker.operators`
+and the oracle rule from :func:`ictl.oracle.operators`, notes the
+application when their masks differ, and returns the engine's mask.
+Because each engine's verdict for a compound node is a pure function of
+the frame and the child verdict sets, the memo is kept per frame, so the
+models of one frame share every application and both engines run only on
+a memo miss.  Agreement on every application reached in a model is
+exactly agreement on every formula of the battery at every world of that
+model.  Only a model whose frame has a noted mismatch is walked again,
+over its slice of the columns, to report each mismatching node with a
+concrete witnessing formula and world.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import checker, oracle
 from .model import BirelationalModel
-from .syntax import _IMP, Formula, Program, compile_formulas as compile_battery, run
+from .syntax import _IMP, MAX_BATCH, Formula, Program, compile_formulas as compile_battery, run_frame
 
 __all__ = ["compile_battery", "Disagreement", "ScanStats", "scan_models"]
 
@@ -57,27 +60,29 @@ def scan_models(
     """Compare engine and oracle on every battery formula at every world.
 
     Consecutive models sharing a frame (same preorder and transition
-    masks) share the memo, so exhaustive streams grouped by frame scan
-    quickly.
+    masks) are evaluated together and share the memo, so exhaustive
+    streams grouped by frame scan quickly.
     """
     if not isinstance(battery, Program):
         battery = compile_battery(battery)
     n_nodes = len(battery.nodes)
+    atoms = set(battery.atom_slots)
     # (kind, *child masks) -> oracle mask, where the engines differ on this frame
     noted: dict[tuple, int] = {}
     ops = _comparing_operators(noted)
     stats = ScanStats()
-    frame = None
-    for m in models:
-        stats.models += 1
-        if (m.up, m.succ) != frame:
-            frame, memo = (m.up, m.succ), {}
-            noted.clear()
-        vals = run(battery, m, ops, memo)
-        if noted and len(stats.disagreements) < max_disagreements:
-            found = _mismatches(m, battery, vals, noted)
-            stats.disagreements += islice(found, max_disagreements - len(stats.disagreements))
-        stats.verdicts += n_nodes * m.n
+    for _, same_frame in groupby(models, lambda m: (m.up, m.succ)):
+        memo: dict[int, int] = {}
+        noted.clear()
+        while group := list(islice(same_frame, MAX_BATCH)):
+            columns = {a: [m.atom_mask(a) for m in group] for a in atoms}
+            cols = run_frame(battery, group[0], columns, len(group), ops, memo)
+            for i, m in enumerate(group):
+                if noted and len(stats.disagreements) < max_disagreements:
+                    found = _mismatches(m, battery, [col[i] for col in cols], noted)
+                    stats.disagreements += islice(found, max_disagreements - len(stats.disagreements))
+                stats.verdicts += n_nodes * m.n
+            stats.models += len(group)
     return stats
 
 

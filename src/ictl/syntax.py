@@ -24,12 +24,16 @@ the formulas as DAGs, not as trees.
 
 :func:`compile_formulas` flattens formulas into one :class:`Program`, a
 table of ``(kind, left, right)`` nodes with children before parents, and
-:func:`run` is the one loop that evaluates such a table over a model.  It
-computes atoms, ``false``, ``&`` and ``|`` itself and hands every other
-node to a kind-indexed operator table; the fixpoint engine, the path
-oracle and the classical semantics differ only in their tables.  It
-memoizes every operator result by the operator and its child masks, in
-a memo the caller passes: fresh per model, or shared by a frame's models.
+:func:`run_frame` is the one loop that evaluates such a table.  Its unit
+is a frame: each node yields a column of masks, one per valuation of the
+frame in the batch (callers batch at most :data:`MAX_BATCH`).  It
+computes atoms, ``false``, ``&`` and ``|`` itself, as list comprehensions
+over the columns, and hands every other node to a kind-indexed operator
+table; the fixpoint engine, the path oracle and the classical semantics
+differ only in their tables.  It memoizes every operator result by the
+operator and its child masks, in a memo the caller passes (fresh per
+model, or kept across all batches of a frame), and calls the table only
+on a miss.  :func:`run` evaluates one model, as a batch of one.
 """
 
 from __future__ import annotations
@@ -65,6 +69,8 @@ __all__ = [
     "atoms_of",
     "Program",
     "compile_formulas",
+    "MAX_BATCH",
+    "run_frame",
     "run",
 ]
 
@@ -283,40 +289,69 @@ def compile_formulas(formulas: Iterable[Formula]) -> Program:
     return Program(table, nodes, atom_slots)
 
 
+# The most valuations one run_frame call gets: a frame with more is
+# evaluated in chunks that share its memo, so the columns stay bounded
+# however many atoms there are.
+MAX_BATCH = 4096
+
+
+def run_frame(
+    program: Program,
+    frame: BirelationalModel,
+    columns: dict[str, Sequence[int]],
+    size: int,
+    ops: Sequence[Callable | None],
+    memo: dict[int, int],
+) -> list[Sequence[int]]:
+    """Column of ``size`` world-set bitmasks for every node of ``program``,
+    in table order, one mask per valuation of ``frame``: ``columns[atom]``
+    holds the atom's masks, ``false`` is empty, ``&`` and ``|`` are
+    intersection and union, and a node of kind ``k >= _IMP`` is
+    ``ops[k](frame, a)`` or ``ops[k](frame, a, b)`` over its children's
+    masks.
+
+    That result depends only on the frame and the child masks, so ``memo``
+    keeps it under ``(k, a, b)`` packed into one int, and each distinct
+    application runs once; calls on one frame may share ``memo``.  The
+    rules read only ``frame``'s relations, never its valuation.
+    """
+    atoms = program.atom_slots
+    shift = frame.n  # masks fit in frame.n bits
+    zero = [0] * size
+    get = memo.get
+    cols: list[Sequence[int]] = []
+    push = cols.append
+    for kind, l, r in program.nodes:
+        if kind >= _IMP:
+            op = ops[kind]
+            base = kind << shift << shift
+            out = []
+            add = out.append
+            for a, b in zip(cols[l], cols[r] if r >= 0 else zero):
+                key = base | a << shift | b
+                v = get(key)
+                if v is None:
+                    v = memo[key] = op(frame, a) if r < 0 else op(frame, a, b)
+                add(v)
+            push(out)
+        elif kind == _AND:
+            push([a & b for a, b in zip(cols[l], cols[r])])
+        elif kind == _OR:
+            push([a | b for a, b in zip(cols[l], cols[r])])
+        elif kind == _ATOM:
+            push(columns[atoms[l]])
+        else:  # _BOT
+            push(zero)
+    return cols
+
+
 def run(
     program: Program, m: BirelationalModel, ops: Sequence[Callable | None], memo: dict[int, int]
 ) -> list[int]:
     """World-set bitmask of every node of ``program`` on model ``m``, in
-    table order: atoms read ``m``'s valuation, ``false`` is empty, ``&`` and
-    ``|`` are intersection and union, and a node of kind ``k >= _IMP`` is
-    ``ops[k](m, a)`` or ``ops[k](m, a, b)`` over its children's masks.
-
-    That result depends only on the frame and the child masks, so ``memo``
-    keeps it under ``(k, a, b)`` packed into one int, and each distinct
-    application runs once; runs on models of one frame may share ``memo``.
-    """
-    atoms = program.atom_slots
-    shift = m.n  # masks fit in m.n bits
-    vals: list[int] = []
-    push = vals.append
-    for kind, l, r in program.nodes:
-        if kind >= _IMP:
-            a = vals[l]
-            b = vals[r] if r >= 0 else 0
-            key = ((kind << shift | a) << shift) | b
-            v = memo.get(key)
-            if v is None:
-                v = memo[key] = ops[kind](m, a) if r < 0 else ops[kind](m, a, b)
-            push(v)
-        elif kind == _AND:
-            push(vals[l] & vals[r])
-        elif kind == _OR:
-            push(vals[l] | vals[r])
-        elif kind == _ATOM:
-            push(m.atom_mask(atoms[l]))
-        else:  # _BOT
-            push(0)
-    return vals
+    table order: :func:`run_frame` over the one valuation of ``m``."""
+    columns = {a: (m.atom_mask(a),) for a in program.atom_slots}
+    return [col[0] for col in run_frame(program, m, columns, 1, ops, memo)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -358,8 +362,8 @@ fuzz_models = st.one_of(
 
 class TestFuzz:
     """Random and deeply nested formula text and junk model files end in
-    an exit code from 0 to 5, never a traceback; a command line argparse
-    refuses exits 2 through argparse."""
+    an exit code from 0 to 5, never a traceback or ``SystemExit``; a
+    command line argparse refuses returns 2 in the chosen format."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -379,12 +383,8 @@ class TestFuzz:
             "countermodel": ["countermodel", formula, "--max-worlds", "1"],
         }[command]
         out, err = io.StringIO(), io.StringIO()
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["--format", fmt, *argv])
-        except SystemExit as e:  # argparse's own usage error, printed as text
-            assert e.code == 2
-            return
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--format", fmt, *argv])
         assert 0 <= code <= 5
         assert "Traceback" not in out.getvalue() + err.getvalue()
         if fmt == "json":
@@ -424,6 +424,76 @@ class TestBadInput:
         assert f"--depth must be <= {cli.MAX_COMPARE_DEPTH}, got {depth}" in message
 
     @pytest.mark.parametrize("fmt", ["human", "json"])
+    @pytest.mark.parametrize(
+        "argv, atoms",
+        [
+            (["countermodel", "p", "--atoms", "17"], 17),
+            (["countermodel", " | ".join(f"a{i}" for i in range(17))], 17),
+            (["countermodel", " & ".join(f"a{i}" for i in range(17)), "--atoms", "3"], 17),
+        ],
+    )
+    def test_search_atoms_above_cap_exit_2(self, capsys, monkeypatch, fmt, argv, atoms):
+        def searching(*args, **kwargs):
+            raise AssertionError("search started")
+
+        monkeypatch.setattr(cli, "find_countermodel", searching)
+        code, out, err = run(capsys, "--format", fmt, *argv)
+        assert code == 2
+        message = json.loads(out)["error"] if fmt == "json" else err
+        assert f"the search has {atoms} atoms" in message
+        assert f"at most {cli.MAX_SEARCH_ATOMS}" in message
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_compare_atoms_above_cap_exit_2(self, capsys, monkeypatch, fmt):
+        def generating(*args):
+            raise AssertionError("formula generated")
+
+        monkeypatch.setattr(cli, "random_formula", generating)
+        atoms = cli.MAX_SEARCH_ATOMS + 1
+        code, out, err = run(capsys, "--format", fmt, "compare", "--atoms", str(atoms))
+        assert code == 2
+        message = json.loads(out)["error"] if fmt == "json" else err
+        assert f"--atoms must be <= {cli.MAX_SEARCH_ATOMS}, got {atoms}" in message
+
+    def test_search_atoms_cap_accepted(self, capsys):
+        formula = " | ".join(f"a{i}" for i in range(cli.MAX_SEARCH_ATOMS))
+        code, out, _ = run(capsys, "countermodel", f"{formula} -> a0", "--max-worlds", "1")
+        assert code == 0
+        assert "countermodel found after 2 models" in out
+
+    @pytest.mark.parametrize(
+        "argv, command, message",
+        [
+            (["countermodel", "->p"], "countermodel", "the following arguments are required: formula"),
+            (["countermodel", "p", "--bogus"], "countermodel", "unrecognized arguments: --bogus"),
+            (["countermodel", "p", "--atoms", "x"], "countermodel", "argument --atoms: invalid int value: 'x'"),
+            (["nope"], None, "invalid choice: 'nope'"),
+            ([], None, "the following arguments are required: command"),
+        ],
+    )
+    def test_argparse_error_in_json(self, capsys, argv, command, message):
+        code, out, err = run(capsys, "--format", "json", *argv)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["command"] == command
+        assert message in doc["error"]
+        assert doc["verdict"] is None and doc["report"] == []
+        assert err == ""
+
+    def test_argparse_error_in_human_form(self, capsys):
+        code, out, err = run(capsys, "countermodel", "->p")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: ictl countermodel")
+        assert err.endswith("ictl countermodel: error: the following arguments are required: formula\n")
+
+    def test_bad_format_is_reported_in_human_form(self, capsys):
+        code, out, err = run(capsys, "--format", "xml", "check")
+        assert code == 2
+        assert out == ""
+        assert "ictl: error: argument --format: invalid choice: 'xml'" in err
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
     @pytest.mark.parametrize("command", ["validate", "check", "denote"])
     def test_model_not_utf8_exit_2(self, capsys, tmp_path, fmt, command):
         path = tmp_path / "m.json"
@@ -461,8 +531,41 @@ class TestCompare:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_atoms_cap_accepted(self, capsys):
+        atoms = str(cli.MAX_SEARCH_ATOMS)
+        code, out, _ = run(capsys, "compare", "--atoms", atoms, "--max-worlds", "0", "--samples", "2")
+        assert code == 0
+        assert "x 2 models" in out
+
     def test_depth_cap_accepted(self, capsys):
         depth = str(cli.MAX_COMPARE_DEPTH)
         code, out, _ = run(capsys, "compare", "--depth", depth, "--max-worlds", "1")
         assert code == 0
         assert "2881 formulas" in out
+
+
+class TestModuleEntryPoint:
+    """``python -m ictl`` runs the command line in a fresh interpreter."""
+
+    @staticmethod
+    def ictl(*argv):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        return subprocess.run(
+            [sys.executable, "-m", "ictl", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_help(self):
+        proc = self.ictl("--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: ictl")
+        assert "countermodel" in proc.stdout
+
+    def test_json_countermodel(self):
+        proc = self.ictl("--format", "json", "countermodel", "p -> p", "--max-worlds", "1")
+        assert proc.returncode == 1
+        doc = json.loads(proc.stdout)
+        assert doc["command"] == "countermodel"
+        assert doc["verdict"] == "exhausted"
+        assert doc["report"][0]["models_checked"] == 4
