@@ -349,13 +349,13 @@ def _search_atoms(atoms: Iterable[str], a: int) -> dict[str, str]:
     """Each search atom with the generators' atom (an :func:`atom_names`
     slot) that stands for it.
 
-    The search atoms are ``atoms`` sorted, padded to ``a`` from the pool.
-    An atom that names a slot keeps it, so formulas over the generators'
-    own atoms see the models unrenamed; the others take the free slots in
-    order.
+    The search atoms are ``atoms`` sorted, padded to ``a`` from
+    ``atom_names(a)``.  An atom that names a slot keeps it, so formulas
+    over the generators' own atoms see the models unrenamed; the others
+    take the free slots in order.
     """
     names = sorted(atoms)
-    for extra in _ATOM_POOL:
+    for extra in atom_names(a):
         if len(names) >= a:
             break
         if extra not in names:

@@ -22,8 +22,16 @@ so comparing two deep equal formulas cannot overflow the call stack, and
 each pair of shared subterms is compared once, so the cost is the size of
 the formulas as DAGs, not as trees.
 
-:func:`compile_formulas` flattens formulas into one :class:`Program`, a
-table of ``(kind, left, right)`` nodes with children before parents, and
+:func:`compile_formulas` is the one walk over formulas: it flattens them
+into one :class:`Program`, a table of ``(kind, left, right)`` nodes with
+children before parents, in post order over an explicit stack, so no
+depth overflows the call stack.  :func:`subformulas` and :func:`atoms_of`
+read that table, and :func:`print_formula` renders it children first.
+One per-kind table, ``_SYNTAX``, gives each node class its kind, print
+form and precedence.  The parser is the one formula path that still
+recurses (besides the generated ``repr`` of a node), so formula text
+nested deeper than the recursion limit fails there.
+
 :func:`run_frame` is the one loop that evaluates such a table.  Its unit
 is a frame: each node yields a column of masks, one per valuation of the
 frame in the batch (callers batch at most :data:`MAX_BATCH`).  It
@@ -39,6 +47,7 @@ on a miss.  :func:`run` evaluates one model, as a batch of one.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -193,63 +202,36 @@ def negation(f: Formula) -> Formula:
     return Implies(f, BOTTOM)
 
 
-def children(f: Formula) -> tuple[Formula, ...]:
-    match f:
-        case Atom() | Bottom():
-            return ()
-        case ExistsNext(sub) | ForallNext(sub):
-            return (sub,)
-        case (
-            And(l, r)
-            | Or(l, r)
-            | Implies(l, r)
-            | ExistsUntil(l, r)
-            | ExistsRelease(l, r)
-            | ForallUntil(l, r)
-            | ForallRelease(l, r)
-        ):
-            return (l, r)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def subformulas(f: Formula) -> list[Formula]:
-    """All distinct subformulas in post order; the last element is ``f``."""
-    seen: set[Formula] = set()
-    out: list[Formula] = []
-
-    def walk(g: Formula) -> None:
-        if g in seen:
-            return
-        for child in children(g):
-            walk(child)
-        seen.add(g)
-        out.append(g)
-
-    walk(f)
-    return out
-
-
-def atoms_of(f: Formula) -> set[str]:
-    return {g.name for g in subformulas(f) if isinstance(g, Atom)}
-
-
 # ---------------------------------------------------------------------------
 # Compiled programs
 
 # node kinds; the operators, kind >= _IMP, are where the semantics differ
 _ATOM, _BOT, _AND, _OR, _IMP, _EX, _AX, _EU, _ER, _AU, _AR = range(11)
 
-_KIND = {
-    And: _AND,
-    Or: _OR,
-    Implies: _IMP,
-    ExistsNext: _EX,
-    ForallNext: _AX,
-    ExistsUntil: _EU,
-    ExistsRelease: _ER,
-    ForallUntil: _AU,
-    ForallRelease: _AR,
+# Per node class: its kind, its print form, the precedence it binds at
+# (0 = implication, 1 = disjunction, 2 = conjunction, 3 = tightest) and the
+# precedence each child is printed at, one entry per child.
+_SYNTAX: dict[type, tuple[int, str, int, tuple[int, ...]]] = {
+    Atom: (_ATOM, "{}", 3, ()),
+    Bottom: (_BOT, "false", 3, ()),
+    And: (_AND, "{} & {}", 2, (2, 3)),
+    Or: (_OR, "{} | {}", 1, (1, 2)),
+    Implies: (_IMP, "{} -> {}", 0, (1, 0)),
+    ExistsNext: (_EX, "EX {}", 3, (3,)),
+    ForallNext: (_AX, "AX {}", 3, (3,)),
+    ExistsUntil: (_EU, "E[{} U {}]", 3, (0, 0)),
+    ExistsRelease: (_ER, "E[{} R {}]", 3, (0, 0)),
+    ForallUntil: (_AU, "A[{} U {}]", 3, (0, 0)),
+    ForallRelease: (_AR, "A[{} R {}]", 3, (0, 0)),
 }
+
+
+def children(f: Formula) -> tuple[Formula, ...]:
+    row = _SYNTAX.get(type(f))
+    if row is None:
+        raise TypeError(f"not a formula: {f!r}")
+    # the fields of a node that prints children are those children
+    return tuple(getattr(f, name) for name in f.__match_args__) if row[3] else ()
 
 
 @dataclass
@@ -262,31 +244,68 @@ class Program:
 def compile_formulas(formulas: Iterable[Formula]) -> Program:
     """Flatten formulas into one deduplicated node table.
 
-    Subformulas are added, so the table is closed and every node's
-    children precede it; for a single formula the table is exactly
-    :func:`subformulas`.
+    Each formula's distinct subformulas that are not yet in the table are
+    added in post order, left to right, so the table is closed and every
+    node's children precede it; for a single formula the table is exactly
+    :func:`subformulas`.  The walk keeps its own stack, so depth costs no
+    recursion.
     """
     table: list[Formula] = []
     index: dict[Formula, int] = {}
-    for f in formulas:
-        for g in subformulas(f):
-            if g not in index:
-                index[g] = len(table)
-                table.append(g)
     nodes: list[tuple[int, int, int]] = []
     atom_slots: list[str] = []
-    for g in table:
-        match g:
-            case Atom(name):
+    for f in formulas:
+        stack: list = [f]
+        while stack:
+            g = stack.pop()
+            if type(g) is tuple:  # (node, children), the children now in the table
+                g, kids = g
+                l, r = index[kids[0]], index[kids[1]] if len(kids) > 1 else -1
+                nodes.append((_SYNTAX[type(g)][0], l, r))
+            elif g in index:
+                continue
+            elif kids := children(g):  # visit them, left first, then g again
+                stack.append((g, kids))
+                stack += reversed(kids)
+                continue
+            elif type(g) is Atom:
                 nodes.append((_ATOM, len(atom_slots), -1))
-                atom_slots.append(name)
-            case Bottom():
+                atom_slots.append(g.name)
+            else:  # false
                 nodes.append((_BOT, -1, -1))
-            case ExistsNext(s) | ForallNext(s):
-                nodes.append((_KIND[type(g)], index[s], -1))
-            case _:
-                nodes.append((_KIND[type(g)], index[g.left], index[g.right]))
+            index[g] = len(table)
+            table.append(g)
     return Program(table, nodes, atom_slots)
+
+
+def subformulas(f: Formula) -> list[Formula]:
+    """All distinct subformulas in post order; the last element is ``f``."""
+    return compile_formulas([f]).formulas
+
+
+def atoms_of(f: Formula) -> set[str]:
+    return set(compile_formulas([f]).atom_slots)
+
+
+def print_formula(f: Formula) -> str:
+    """Canonical text form; re-parses to a structurally identical AST.
+
+    Renders the :func:`compile_formulas` table children first: a child is
+    parenthesized where it binds looser than its parent prints it.
+    """
+    program = compile_formulas([f])
+    rows = [_SYNTAX[type(g)] for g in program.formulas]
+    uses = Counter(c for (_, l, r), row in zip(program.nodes, rows) for c in (l, r)[: len(row[3])])
+    texts: list[str] = []
+    for g, (_, l, r), (kind, form, _, levels) in zip(program.formulas, program.nodes, rows):
+        args = []
+        for c, level in zip((l, r), levels):
+            args.append(f"({texts[c]})" if rows[c][2] < level else texts[c])
+            uses[c] -= 1
+            if not uses[c]:  # its last use; a deep chain would keep every prefix
+                texts[c] = ""
+        texts.append(g.name if kind == _ATOM else form.format(*args))
+    return texts[-1]
 
 
 # The most valuations one run_frame call gets: a frame with more is
@@ -518,42 +537,3 @@ def parse_formula(text: str) -> Formula:
     f = parser.formula()
     parser.eat("EOF")
     return f
-
-
-# ---------------------------------------------------------------------------
-# Printer
-
-# precedence levels: 0 = implication, 1 = disjunction, 2 = conjunction, 3 = unary
-def _fmt(f: Formula, level: int) -> str:
-    match f:
-        case Atom(name):
-            return name
-        case Bottom():
-            return "false"
-        case And(l, r):
-            s = f"{_fmt(l, 2)} & {_fmt(r, 3)}"
-            return f"({s})" if level > 2 else s
-        case Or(l, r):
-            s = f"{_fmt(l, 1)} | {_fmt(r, 2)}"
-            return f"({s})" if level > 1 else s
-        case Implies(l, r):
-            s = f"{_fmt(l, 1)} -> {_fmt(r, 0)}"
-            return f"({s})" if level > 0 else s
-        case ExistsNext(sub):
-            return f"EX {_fmt(sub, 3)}"
-        case ForallNext(sub):
-            return f"AX {_fmt(sub, 3)}"
-        case ExistsUntil(l, r):
-            return f"E[{_fmt(l, 0)} U {_fmt(r, 0)}]"
-        case ExistsRelease(l, r):
-            return f"E[{_fmt(l, 0)} R {_fmt(r, 0)}]"
-        case ForallUntil(l, r):
-            return f"A[{_fmt(l, 0)} U {_fmt(r, 0)}]"
-        case ForallRelease(l, r):
-            return f"A[{_fmt(l, 0)} R {_fmt(r, 0)}]"
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def print_formula(f: Formula) -> str:
-    """Canonical text form; re-parses to a structurally identical AST."""
-    return _fmt(f, 0)

@@ -271,6 +271,21 @@ class TestCountermodel:
         assert doc["verdict"] == "countermodel"
         assert doc["report"][0]["bounds"]["atoms"] == ["a", "b"]
 
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_atoms_padded_past_the_letters(self, capsys, fmt):
+        # 16 search atoms: the 15 one-letter atom names, then p0
+        code, out, _ = run(
+            capsys, "--format", fmt, "countermodel", "p -> p", "--atoms", "16", "--max-worlds", "1"
+        )
+        assert code == 1
+        if fmt == "json":
+            report = json.loads(out)["report"][0]
+            assert report["models_checked"] == 2**16
+            assert len(report["bounds"]["atoms"]) == 16
+            assert report["bounds"]["atoms"][-1] == "p0"
+        else:
+            assert f"among all {2**16} valid models" in out
+
 
 class TestDeepInput:
     DEEP = "~" * 5000 + "p"

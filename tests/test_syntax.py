@@ -1,9 +1,33 @@
+"""Parser, printer, hashing and the compiled table.
+
+``TestReference`` holds the subformula walk, the table and the printer
+written by recursion on the formula, and asks ``compile_formulas`` and
+its views for identical tables and byte-identical text on seeded random
+formulas.  ``TestDeepFormulas`` drives formulas far deeper than the
+recursion limit through every path that reads the table.
+"""
+
+import random
 import time
+import tracemalloc
 
 import pytest
 
+from ictl.checker import check, denote
+from ictl.gen import find_countermodel
+from ictl.oracle import oracle_denotation
 from ictl.syntax import (
+    _AND,
+    _AR,
+    _ATOM,
+    _AU,
+    _AX,
+    _BOT,
+    _ER,
+    _EU,
+    _EX,
     _IMP,
+    _OR,
     And,
     Atom,
     BOTTOM,
@@ -290,3 +314,239 @@ class TestCompile:
         assert vals[parse_formula("p & q")] == p_mask & q_mask
         assert vals[f] == four_world.full
         assert calls == [(0, None), (p_mask, q_mask)]  # EX false, then p -> q
+
+
+# ---------------------------------------------------------------------------
+# References written by recursion on the formula, one case per node class
+
+
+def reference_children(f):
+    match f:
+        case Atom() | Bottom():
+            return ()
+        case ExistsNext(sub) | ForallNext(sub):
+            return (sub,)
+        case (
+            And(l, r)
+            | Or(l, r)
+            | Implies(l, r)
+            | ExistsUntil(l, r)
+            | ExistsRelease(l, r)
+            | ForallUntil(l, r)
+            | ForallRelease(l, r)
+        ):
+            return (l, r)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_subformulas(f):
+    seen = set()
+    out = []
+
+    def walk(g):
+        if g in seen:
+            return
+        for child in reference_children(g):
+            walk(child)
+        seen.add(g)
+        out.append(g)
+
+    walk(f)
+    return out
+
+
+REFERENCE_KIND = {
+    And: _AND,
+    Or: _OR,
+    Implies: _IMP,
+    ExistsNext: _EX,
+    ForallNext: _AX,
+    ExistsUntil: _EU,
+    ExistsRelease: _ER,
+    ForallUntil: _AU,
+    ForallRelease: _AR,
+}
+
+
+def reference_compile(formulas):
+    """(formulas, nodes, atom_slots) of the table, one formula at a time."""
+    table, index = [], {}
+    for f in formulas:
+        for g in reference_subformulas(f):
+            if g not in index:
+                index[g] = len(table)
+                table.append(g)
+    nodes, atom_slots = [], []
+    for g in table:
+        match g:
+            case Atom(name):
+                nodes.append((_ATOM, len(atom_slots), -1))
+                atom_slots.append(name)
+            case Bottom():
+                nodes.append((_BOT, -1, -1))
+            case ExistsNext(s) | ForallNext(s):
+                nodes.append((REFERENCE_KIND[type(g)], index[s], -1))
+            case _:
+                nodes.append((REFERENCE_KIND[type(g)], index[g.left], index[g.right]))
+    return table, nodes, atom_slots
+
+
+# precedence levels: 0 = implication, 1 = disjunction, 2 = conjunction, 3 = unary
+def reference_fmt(f, level=0):
+    match f:
+        case Atom(name):
+            return name
+        case Bottom():
+            return "false"
+        case And(l, r):
+            s = f"{reference_fmt(l, 2)} & {reference_fmt(r, 3)}"
+            return f"({s})" if level > 2 else s
+        case Or(l, r):
+            s = f"{reference_fmt(l, 1)} | {reference_fmt(r, 2)}"
+            return f"({s})" if level > 1 else s
+        case Implies(l, r):
+            s = f"{reference_fmt(l, 1)} -> {reference_fmt(r, 0)}"
+            return f"({s})" if level > 0 else s
+        case ExistsNext(sub):
+            return f"EX {reference_fmt(sub, 3)}"
+        case ForallNext(sub):
+            return f"AX {reference_fmt(sub, 3)}"
+        case ExistsUntil(l, r):
+            return f"E[{reference_fmt(l, 0)} U {reference_fmt(r, 0)}]"
+        case ExistsRelease(l, r):
+            return f"E[{reference_fmt(l, 0)} R {reference_fmt(r, 0)}]"
+        case ForallUntil(l, r):
+            return f"A[{reference_fmt(l, 0)} U {reference_fmt(r, 0)}]"
+        case ForallRelease(l, r):
+            return f"A[{reference_fmt(l, 0)} R {reference_fmt(r, 0)}]"
+    raise TypeError(f"not a formula: {f!r}")
+
+
+UNARY = (ExistsNext, ForallNext, negation)
+BINARY = (And, Or, Implies, ExistsUntil, ExistsRelease, ForallUntil, ForallRelease)
+
+
+def random_formulas(seed, count):
+    """``count`` formulas of height 1 to 7 over p, q and r, with ``~`` and
+    ``true`` among the operators and subterms, and subterms shared both
+    within a formula and across formulas."""
+    rng = random.Random(seed)
+    leaves = [p, q, r, BOTTOM]
+    shallow = [TRUE]  # subterms of height at most 3, for reuse
+
+    def go(h):
+        if h <= 1:
+            return rng.choice(leaves)
+        if h >= 3 and rng.random() < 0.15:
+            return rng.choice(shallow)
+        op = rng.choice(UNARY + BINARY)
+        if op in UNARY:
+            g = op(go(h - 1))
+        else:
+            left = go(h - 1)
+            g = op(left, left if rng.random() < 0.1 else go(rng.randint(1, h - 1)))
+        if h <= 3:
+            shallow.append(g)
+        return g
+
+    return [go(rng.randint(1, 7)) for _ in range(count)]
+
+
+class TestReference:
+    FORMULAS = random_formulas(2024, 3000)
+
+    def test_subformulas_and_atoms(self):
+        for f in self.FORMULAS:
+            subs = reference_subformulas(f)
+            assert subformulas(f) == subs
+            assert atoms_of(f) == {g.name for g in subs if isinstance(g, Atom)}
+            assert children(f) == reference_children(f)
+
+    def test_print_is_byte_identical(self):
+        for f in self.FORMULAS:
+            assert print_formula(f) == reference_fmt(f)
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 40, 300])
+    def test_battery_tables(self, size):
+        for start in range(0, len(self.FORMULAS) - size + 1, max(size, 97)):
+            battery = self.FORMULAS[start : start + size]
+            program = compile_formulas(battery)
+            table, nodes, atom_slots = reference_compile(battery)
+            assert program.formulas == table
+            assert program.nodes == nodes
+            assert program.atom_slots == atom_slots
+
+
+def deep_formula(depth, seed):
+    """A loop-built formula ``depth`` operators deep over p and q, mixing
+    EX, AX, ~ and &, each & with a fresh shallow right operand."""
+    rng = random.Random(seed)
+    f = p
+    for _ in range(depth):
+        op = rng.choice(["EX", "AX", "~", "&"])
+        if op == "&":
+            f = And(f, rng.choice([q, ExistsNext(q), negation(p)]))
+        else:
+            f = {"EX": ExistsNext, "AX": ForallNext, "~": negation}[op](f)
+    return f
+
+
+class TestDeepFormulas:
+    DEPTH = 10_000
+
+    @pytest.fixture(scope="class", params=[1, 2])
+    def deep(self, request):
+        return deep_formula(self.DEPTH, request.param)
+
+    def test_table(self, deep):
+        subs = subformulas(deep)
+        assert subs[-1] is deep and len(subs) >= self.DEPTH
+        program = compile_formulas([deep, ExistsNext(deep)])
+        assert program.formulas[: len(subs)] == subs
+        assert len(program.formulas) == len(subs) + 1
+        assert atoms_of(deep) == {"p", "q"}
+
+    def test_print(self, deep):
+        tracemalloc.start()
+        text = print_formula(deep)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert len(text) > 2 * self.DEPTH
+        # each child's text is dropped once its parent is built; keeping
+        # every prefix of the chain would take hundreds of MiB
+        assert peak < 32 * 2**20
+        # the outermost operator, and the innermost atom at the far left
+        head = type(deep)
+        if head is And:
+            assert text.endswith(f" & {print_formula(deep.right)}")
+        elif head is Implies:
+            assert text.endswith(" -> false")
+        else:
+            assert text.startswith("EX " if head is ExistsNext else "AX ")
+        assert text.lstrip("(EAX ").startswith("p")
+
+    def test_denote_matches_oracle(self, deep, four_world):
+        assert denote(four_world, deep) == oracle_denotation(four_world, deep)
+        sets = denote(four_world, deep)
+        for w in four_world.worlds:
+            outcome = check(four_world, w, deep)
+            assert outcome.satisfied == bool(sets[deep] >> four_world.world_index(w) & 1)
+
+    def test_countermodel_search(self, deep):
+        result = find_countermodel(deep, max_worlds=2)
+        if result.found:
+            assert not check(result.model, result.world, deep).satisfied
+        else:
+            assert result.outcome == "exhausted"
+        valid = find_countermodel(Implies(deep, deep), max_worlds=2)
+        assert valid.outcome == "exhausted"
+        assert valid.models_checked == find_countermodel(parse_formula("p & q -> p"), max_worlds=2).models_checked
+
+    def test_shared_chain_compiles_to_its_dag(self):
+        f = p
+        for _ in range(64):
+            f = And(f, f)  # 2**64 leaves as a tree; never printed
+        program = compile_formulas([f])
+        assert len(program.formulas) == len(program.nodes) == 65
+        assert program.nodes[-1] == (_AND, 63, 63)
+        assert subformulas(f)[-1] is f and atoms_of(f) == {"p"}
