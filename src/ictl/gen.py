@@ -11,12 +11,19 @@ Three ways to produce valid models:
 * :func:`product_frame` builds one correct by construction from a stage
   poset and an ordinary serial transition graph.
 
-:func:`frame_batches` is the one exhaustive source: each valid frame of
-a world count with its valuations, as tuples of masks in batches of at
-most :data:`~ictl.syntax.MAX_BATCH`.  :func:`model_batches` chains those
-batches over world counts and appends seeded random models as batches of
-one; :func:`enumerate_models` and :func:`model_stream` are the same
-streams one model at a time, and ``ictl compare`` scans the latter.
+:func:`enumerate_frames` assigns each preorder's transitions world by
+world and drops a partial assignment at the first C1 or C2 check it
+decides (:func:`~ictl.model.c1_holds`, :func:`~ictl.model.c2_holds`), so
+it yields a brute-force filter's frames in the same order without
+building the rejected candidates; every frame with 4 worlds is within
+reach.  :func:`frame_batches` is the one exhaustive source: each valid
+frame of a world count with its valuations, as tuples of masks in batches
+of at most :data:`~ictl.syntax.MAX_BATCH`, with each preorder's masks and
+valuations built once for all of its frames.  :func:`model_batches`
+chains those batches over world counts and appends seeded random models
+as batches of one; :func:`enumerate_models` and :func:`model_stream` are
+the same streams one model at a time, and ``ictl compare`` scans the
+latter.
 
 :func:`find_countermodel` looks for a model and world refuting a formula,
 double-checking any hit against the path oracle before returning it.  It
@@ -36,7 +43,16 @@ from itertools import islice, product
 from typing import Iterable, Iterator, Sequence
 
 from .checker import operators
-from .model import BirelationalModel, _close_masks, frame_violations, image, iter_bits
+from .model import (
+    BirelationalModel,
+    _close_masks,
+    _transpose,
+    c1_holds,
+    c2_holds,
+    frame_violations,
+    image,
+    iter_bits,
+)
 from .oracle import oracle_check
 from .syntax import (
     And,
@@ -136,14 +152,59 @@ def frame_conditions_hold(up: Sequence[int], succ: Sequence[int]) -> bool:
     return next(frame_violations(up, succ), None) is None
 
 
-def enumerate_frames(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (preorder, serial transitions) pairs satisfying C1 and C2."""
+def _transitions(up: Sequence[int], down: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every serial ``succ`` satisfying C1 and C2 over the closed preorder
+    ``up`` (with ``down`` its inverse), in ``product`` order.
+
+    Worlds are assigned in index order, each ``succ[k]`` counting up from
+    1, so the tuples come out as ``product(range(1, 2**n), repeat=n)``
+    filtered.  A partial assignment is dropped as soon as a check it
+    decides fails: C2 at a pair ``x P z`` once both are assigned, C1 at
+    ``x`` once all of ``up[x]`` is.
+    """
+    n = len(up)
     full = (1 << n) - 1
-    succ_choices = range(1, full + 1)
+    # the checks decided by assigning world k: C2 pairs whose later world
+    # is k (x P x holds trivially), and C1 at worlds whose up-set ends at k
+    c2_at = [
+        [(x, z) for x in range(k + 1) for z in iter_bits(up[x]) if max(x, z) == k and x != z]
+        for k in range(n)
+    ]
+    c1_at = [[x for x in range(n) if up[x].bit_length() - 1 == k] for k in range(n)]
+    succ = [0] * n
+    k = 0
+    while k >= 0:
+        if k == n:
+            yield tuple(succ)
+            k -= 1
+        elif succ[k] == full:  # every choice for world k tried: back up
+            succ[k] = 0
+            k -= 1
+        else:
+            succ[k] += 1
+            for x, z in c2_at[k]:
+                if not c2_holds(down, succ, x, z):
+                    break
+            else:
+                for x in c1_at[k]:
+                    if not c1_holds(up, succ, x):
+                        break
+                else:
+                    k += 1
+
+
+def enumerate_frames(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All (preorder, serial transitions) pairs satisfying C1 and C2.
+
+    Preorders come in :func:`enumerate_preorders` order and, within one,
+    transition tuples in ``product`` order; each preorder's transitions
+    are assigned world by world, pruning a partial assignment at its first
+    failed C1 or C2 check, so the candidates a brute-force filter would
+    test are never built.  ``n = 0`` gives the one empty frame.
+    """
     for up in enumerate_preorders(n):
-        for succ in product(succ_choices, repeat=n):
-            if frame_conditions_hold(up, succ):
-                yield up, succ
+        for succ in _transitions(up, _transpose(up)):
+            yield up, succ
 
 
 Batch = tuple[BirelationalModel, list[tuple[int, ...]]]
@@ -157,11 +218,26 @@ def frame_batches(n: int, a: int) -> Iterator[Batch]:
     :func:`atom_names` slot.  A frame with more than
     :data:`~ictl.syntax.MAX_BATCH` valuations comes as several
     consecutive batches that carry the same frame object.
+
+    Each preorder's world index, ``down`` masks, upward-closed masks and,
+    when they fit in one batch, valuations are built once and shared by
+    all of its frames, which add only their ``succ`` and ``pred`` (see
+    :meth:`~ictl.model.BirelationalModel.with_transitions`).  Larger
+    valuation lists are streamed again for each frame, so memory stays
+    bounded by the batch size.
     """
     worlds = tuple(f"w{i}" for i in range(n))
+    base = None
     for up, succ in enumerate_frames(n):
-        frame = BirelationalModel(worlds, up, succ, {})
-        assignments = product(upward_closed_masks(up), repeat=a)
+        if base is None or up is not base.up:  # the first frame of a preorder
+            base = BirelationalModel(worlds, up, (0,) * n, {})
+            ups = upward_closed_masks(up)
+            shared = list(product(ups, repeat=a)) if len(ups) ** a <= MAX_BATCH else None
+        frame = base.with_transitions(succ)
+        if shared is not None:
+            yield frame, shared
+            continue
+        assignments = product(ups, repeat=a)
         while batch := list(islice(assignments, MAX_BATCH)):
             yield frame, batch
 

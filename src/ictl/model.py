@@ -12,7 +12,9 @@ are tuples of per-world bitmasks.  ``up[i]`` holds the worlds P-above
 world ``i`` (including ``i``), ``down[i]`` the worlds P-below it,
 ``succ[i]`` its R-successors and ``pred[i]`` its R-predecessors.
 :meth:`BirelationalModel.with_valuation` puts another valuation on the
-same frame, sharing all of its masks.
+same frame, sharing all of its masks, and
+:meth:`BirelationalModel.with_transitions` other transitions on the same
+worlds and preorder, computing only ``pred``.
 
 Every quantifier over a relation is one :func:`image`, the union of
 ``rel[j]`` over the worlds ``j`` of a set, which costs the set's bits,
@@ -25,8 +27,13 @@ inverse relations, or their duals:
 
 (complements taken within the world set).
 
-:func:`frame_violations` is the one C1/C2 check: :func:`validate_frame`
-reports what it yields, and the generators stop at its first breach.
+:func:`frame_violations` is the one C1/C2 check that reports witnesses:
+:func:`validate_frame` reports what it yields, and the random generator
+stops at its first breach.  :func:`c1_holds` (C1 at one world) and
+:func:`c2_holds` (C2 at one ``P`` pair) are the same conditions as mask
+predicates, each reading the transitions of only a few worlds, so the
+exhaustive enumerator can test a partial assignment; the tests pin them
+to :func:`frame_violations` on every small frame.
 """
 
 from __future__ import annotations
@@ -51,6 +58,8 @@ __all__ = [
     "Violation",
     "ValidationReport",
     "frame_violations",
+    "c1_holds",
+    "c2_holds",
     "validate_frame",
     "ensure_valid",
     "up_set",
@@ -240,6 +249,18 @@ class BirelationalModel:
         m.atoms = tuple(sorted(val))
         return m
 
+    def with_transitions(self, succ: tuple[int, ...]) -> "BirelationalModel":
+        """The same worlds, preorder and valuation under transition masks
+        ``succ``; every other field is shared, and only ``pred`` is computed."""
+        m = object.__new__(BirelationalModel)
+        m.worlds, m.index, m.up, m.down, m.val, m.atoms = (
+            self.worlds, self.index, self.up, self.down, self.val, self.atoms
+        )
+        m.n, m.full = self.n, self.full
+        m.succ = succ
+        m.pred = _transpose(succ)
+        return m
+
     def world_index(self, name: str) -> int:
         try:
             return self.index[name]
@@ -386,6 +407,21 @@ def frame_violations(
             for z in iter_bits(ux):
                 if not (succ[z] & uy):
                     yield ("C2", x, y, z)
+
+
+def c1_holds(up: Sequence[int], succ: Sequence[int], x: int) -> bool:
+    """C1 at world ``x``: every world P-above an R-successor of ``x`` is an
+    R-successor of some world P-above ``x``, that is
+    ``image(up, succ[x]) <= image(succ, up[x])``.  Reads ``succ`` only at
+    ``x`` and ``up[x]``."""
+    return not image(up, succ[x]) & ~image(succ, up[x])
+
+
+def c2_holds(down: Sequence[int], succ: Sequence[int], x: int, z: int) -> bool:
+    """C2 at a pair ``x P z``: each R-successor ``y`` of ``x`` is P-below some
+    R-successor of ``z``, that is ``succ[x] <= image(down, succ[z])``.  Reads
+    ``succ`` only at ``x`` and ``z``."""
+    return not succ[x] & ~image(down, succ[z])
 
 
 def validate_frame(

@@ -26,11 +26,11 @@ the formulas as DAGs, not as trees.
 into one :class:`Program`, a table of ``(kind, left, right)`` nodes with
 children before parents, in post order over an explicit stack, so no
 depth overflows the call stack.  :func:`subformulas` and :func:`atoms_of`
-read that table, and :func:`print_formula` renders it children first.
-One per-kind table, ``_SYNTAX``, gives each node class its kind, print
-form and precedence.  The parser is the one formula path that still
-recurses (besides the generated ``repr`` of a node), so formula text
-nested deeper than the recursion limit fails there.
+read that table, and :func:`print_formula` and a node's ``repr`` (the
+text a dataclass would generate) render it children first.  One per-kind
+table, ``_SYNTAX``, gives each node class its kind, print form and
+precedence.  The parser is the one formula path that still recurses, so
+formula text nested deeper than the recursion limit fails there.
 
 :func:`run_frame` is the one loop that evaluates such a table.  Its unit
 is a frame: each node yields a column of masks, one per valuation of the
@@ -127,9 +127,16 @@ class Formula:
     def __str__(self) -> str:
         return print_formula(self)
 
+    def __repr__(self) -> str:
+        if type(self) not in _SYNTAX:  # not a node class, so no fields to show
+            return object.__repr__(self)
+        return _render(self, _repr_node)
 
-# eq=False keeps Formula's iterative __eq__ and its cached __hash__
-_node = dataclass(frozen=True, slots=True, eq=False)
+
+# eq=False keeps Formula's iterative __eq__ and its cached __hash__, and
+# repr=False its __repr__, which spells out what the generated one would
+# without recursing
+_node = dataclass(frozen=True, slots=True, eq=False, repr=False)
 
 
 @_node
@@ -287,25 +294,48 @@ def atoms_of(f: Formula) -> set[str]:
     return set(compile_formulas([f]).atom_slots)
 
 
-def print_formula(f: Formula) -> str:
-    """Canonical text form; re-parses to a structurally identical AST.
-
-    Renders the :func:`compile_formulas` table children first: a child is
-    parenthesized where it binds looser than its parent prints it.
-    """
+def _render(f: Formula, text: Callable[[Formula, list[tuple[Formula, str]]], str]) -> str:
+    """``f`` as text, built over its :func:`compile_formulas` table children
+    first: ``text(g, kids)`` gets each node with its children and their
+    texts.  A child's text is dropped after its last use, so a deep chain
+    keeps no prefixes."""
     program = compile_formulas([f])
-    rows = [_SYNTAX[type(g)] for g in program.formulas]
-    uses = Counter(c for (_, l, r), row in zip(program.nodes, rows) for c in (l, r)[: len(row[3])])
+    arity = [len(_SYNTAX[type(g)][3]) for g in program.formulas]
+    uses = Counter(c for (_, l, r), k in zip(program.nodes, arity) for c in (l, r)[:k])
     texts: list[str] = []
-    for g, (_, l, r), (kind, form, _, levels) in zip(program.formulas, program.nodes, rows):
-        args = []
-        for c, level in zip((l, r), levels):
-            args.append(f"({texts[c]})" if rows[c][2] < level else texts[c])
+    for g, (_, l, r), k in zip(program.formulas, program.nodes, arity):
+        kids = []
+        for c in (l, r)[:k]:
+            kids.append((program.formulas[c], texts[c]))
             uses[c] -= 1
-            if not uses[c]:  # its last use; a deep chain would keep every prefix
+            if not uses[c]:
                 texts[c] = ""
-        texts.append(g.name if kind == _ATOM else form.format(*args))
+        texts.append(text(g, kids))
     return texts[-1]
+
+
+def _print_node(g: Formula, kids: list[tuple[Formula, str]]) -> str:
+    # a child is parenthesized where it binds looser than g prints it
+    if type(g) is Atom:
+        return g.name
+    _, form, _, levels = _SYNTAX[type(g)]
+    return form.format(
+        *(f"({t})" if _SYNTAX[type(c)][2] < level else t for (c, t), level in zip(kids, levels))
+    )
+
+
+def print_formula(f: Formula) -> str:
+    """Canonical text form; re-parses to a structurally identical AST."""
+    return _render(f, _print_node)
+
+
+def _repr_node(g: Formula, kids: list[tuple[Formula, str]]) -> str:
+    # the dataclass form: every field by name, a formula field by its repr
+    if type(g) is Atom:
+        args = [f"name={g.name!r}"]
+    else:
+        args = [f"{name}={t}" for name, (_, t) in zip(g.__match_args__, kids)]
+    return f"{type(g).__qualname__}({', '.join(args)})"
 
 
 # The most valuations one run_frame call gets: a frame with more is

@@ -1,3 +1,4 @@
+import time
 from itertools import islice, product
 
 import pytest
@@ -10,9 +11,11 @@ from ictl.gen import (
     GenParams,
     atom_names,
     enumerate_formulas,
+    enumerate_frames,
     enumerate_models,
     enumerate_preorders,
     find_countermodel,
+    frame_batches,
     frame_conditions_hold,
     model_stream,
     product_frame,
@@ -95,6 +98,63 @@ class TestEnumerate:
         masks = upward_closed_masks(up)
         assert 0 in masks and 0b111 in masks
         assert 0b100 in masks and 0b001 not in masks
+
+
+def brute_force_frames(n, preorders):
+    """The frames the enumerator must yield, in its order: every serial
+    transition tuple of each preorder, filtered by the C1/C2 check."""
+    return [
+        (up, succ)
+        for up in preorders
+        for succ in product(range(1, 1 << n), repeat=n)
+        if frame_conditions_hold(up, succ)
+    ]
+
+
+class TestFrameEnumerator:
+    """The world-by-world enumerator against a brute-force filter."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_every_small_frame_in_order(self, n):
+        frames = list(enumerate_frames(n))
+        assert frames == brute_force_frames(n, enumerate_preorders(n))
+        assert len(frames) == [1, 1, 28, 3413][n]
+        if n == 0:
+            assert frames == [((), ())]
+
+    FOUR_WORLD_PREORDERS = {
+        "discrete": (0b0001, 0b0010, 0b0100, 0b1000),
+        "chain": (0b1111, 0b1110, 0b1100, 0b1000),
+        # world 0 alone, worlds 1 and 2 P-equivalent, world 3 above them
+        "cluster": (0b0001, 0b1110, 0b1110, 0b1000),
+    }
+
+    @pytest.mark.parametrize("name", FOUR_WORLD_PREORDERS)
+    def test_four_world_preorder(self, monkeypatch, name):
+        up = self.FOUR_WORLD_PREORDERS[name]
+        assert up in enumerate_preorders(4)
+        monkeypatch.setattr(gen, "enumerate_preorders", lambda n: (up,))
+        frames = list(enumerate_frames(4))
+        assert frames == brute_force_frames(4, [up])
+        assert frames
+
+    def test_every_four_world_frame(self):
+        start = time.perf_counter()
+        assert sum(1 for _ in enumerate_frames(4)) == 2_073_373
+        assert time.perf_counter() - start < 60
+
+    def test_frames_of_a_preorder_share_its_masks(self):
+        first = {}
+        for frame, batch in frame_batches(3, 2):
+            seen, seen_batch = first.setdefault(frame.up, (frame, batch))
+            for name in ("worlds", "index", "up", "down"):
+                assert getattr(frame, name) is getattr(seen, name), name
+            assert batch is seen_batch  # the valuations, built once per preorder
+        assert len(first) == len(enumerate_preorders(3))
+
+    def test_no_atoms(self):
+        assert [batch for _, batch in frame_batches(1, 0)] == [[()]]
+        assert [len(batch) for _, batch in frame_batches(2, 0)] == [1] * 28
 
 
 class TestFixtureInStream:

@@ -14,7 +14,10 @@ from ictl.gen import (
 from ictl.model import (
     BirelationalModel,
     ModelFormatError,
+    _close_masks,
     build_model,
+    c1_holds,
+    c2_holds,
     close_preorder,
     complement,
     frame_violations,
@@ -457,3 +460,44 @@ class TestFrameViolations:
                 expected = definitional_breaches(up, succ)
                 found = list(frame_violations(up, succ))
                 assert found == sorted(expected, key=lambda v: (v[1], v[2], v[0], v[3]))
+
+
+def assert_predicates_match(up, succ):
+    """``c1_holds`` fails at exactly the worlds ``x`` of the C1 breaches
+    ``frame_violations`` reports, and ``c2_holds`` at exactly the pairs
+    ``(x, z)`` of its C2 breaches; so both hold everywhere iff it reports
+    nothing."""
+    n = len(up)
+    down = tuple(sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n))
+    breaches = list(frame_violations(up, succ))
+    assert {x for x in range(n) if not c1_holds(up, succ, x)} == {
+        x for rule, x, _, _ in breaches if rule == "C1"
+    }
+    assert {(x, z) for x in range(n) for z in iter_bits(up[x]) if not c2_holds(down, succ, x, z)} == {
+        (x, z) for rule, x, _, z in breaches if rule == "C2"
+    }
+    return not breaches
+
+
+class TestFramePredicates:
+    """The enumerator's per-world C1 and per-pair C2 predicates, pinned to
+    the one witness-reporting check."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_small_candidate(self, n):
+        # worlds without successors included
+        for up in enumerate_preorders(n):
+            for succ in product(range(1 << n), repeat=n):
+                assert_predicates_match(up, succ)
+
+    def test_random_closed_preorders(self):
+        rng = random.Random(7)
+        valid = 0
+        for _ in range(20_000):
+            n = rng.randint(4, 6)
+            density = rng.choice([0.15, 0.4, 0.7, 0.95])
+            edges = [(i, j) for i in range(n) for j in range(n) if rng.random() < density / 2]
+            up = _close_masks(n, edges)
+            succ = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+            valid += assert_predicates_match(up, succ)
+        assert 1_000 < valid < 19_000

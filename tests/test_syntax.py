@@ -8,8 +8,10 @@ recursion limit through every path that reads the table.
 """
 
 import random
+import sys
 import time
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 
@@ -38,6 +40,7 @@ from ictl.syntax import (
     ForallNext,
     ForallRelease,
     ForallUntil,
+    Formula,
     Implies,
     Or,
     ParseError,
@@ -422,6 +425,16 @@ def reference_fmt(f, level=0):
     raise TypeError(f"not a formula: {f!r}")
 
 
+def reference_repr(f):
+    """The ``repr`` a dataclass generates for a node: its class name and
+    every field by name, a formula field by recursion."""
+    args = []
+    for fld in fields(f):
+        value = getattr(f, fld.name)
+        args.append(f"{fld.name}={reference_repr(value) if isinstance(value, Formula) else repr(value)}")
+    return f"{type(f).__qualname__}({', '.join(args)})"
+
+
 UNARY = (ExistsNext, ForallNext, negation)
 BINARY = (And, Or, Implies, ExistsUntil, ExistsRelease, ForallUntil, ForallRelease)
 
@@ -465,6 +478,18 @@ class TestReference:
     def test_print_is_byte_identical(self):
         for f in self.FORMULAS:
             assert print_formula(f) == reference_fmt(f)
+
+    def test_repr_is_byte_identical(self):
+        for f in self.FORMULAS:
+            assert repr(f) == reference_repr(f)
+        # the text the generated dataclass repr gave
+        assert repr(parse_formula("~AX~p -> EX (a & q | E[p U A[q R false]])")) == (
+            "Implies(left=Implies(left=ForallNext(sub=Implies(left=Atom(name='p'), "
+            "right=Bottom())), right=Bottom()), right=ExistsNext(sub=Or(left=And("
+            "left=Atom(name='a'), right=Atom(name='q')), right=ExistsUntil(left="
+            "Atom(name='p'), right=ForallRelease(left=Atom(name='q'), right=Bottom())))))"
+        )
+        assert repr(Atom("it's")) == 'Atom(name="it\'s")'
 
     @pytest.mark.parametrize("size", [1, 2, 7, 40, 300])
     def test_battery_tables(self, size):
@@ -524,6 +549,15 @@ class TestDeepFormulas:
         else:
             assert text.startswith("EX " if head is ExistsNext else "AX ")
         assert text.lstrip("(EAX ").startswith("p")
+
+    def test_repr(self, deep):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(self.DEPTH + 1000)  # for the recursive reference only
+        try:
+            want = reference_repr(deep)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert repr(deep) == want
 
     def test_denote_matches_oracle(self, deep, four_world):
         assert denote(four_world, deep) == oracle_denotation(four_world, deep)
