@@ -470,11 +470,12 @@ def find_countermodel(
     generated = atom_names(len(names))
     bounds = {"max_worlds": max_worlds, "atoms": names, "budget": budget, "seed": seed}
     checked = 0
-    frame = None
+    frame = column_batch = None
     for batch_frame, batch in model_batches(max_worlds, len(names), budget, seed):
         if batch_frame is not frame:
             frame, memo = batch_frame, {}
-        columns = dict(zip(generated, zip(*batch)))
+        if batch is not column_batch:  # the frames of one preorder share their batch
+            column_batch, columns = batch, dict(zip(generated, zip(*batch)))
         top = run_frame(program, frame, columns, len(batch), ops, memo)[-1]
         if top.count(frame.full) < len(batch):
             i, mask = next((i, v) for i, v in enumerate(top) if v != frame.full)

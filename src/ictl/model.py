@@ -27,6 +27,14 @@ inverse relations, or their duals:
 
 (complements taken within the world set).
 
+Ingest is one pass each.  :func:`load_model` checks a well-formed document
+a whole list at a time (each distinct atom name is matched once) and
+walks entry by entry only to name the first bad entry; the preorder is
+closed in one depth-first pass over its strongly connected components;
+and :func:`validate_frame` decides transitivity and monotonicity with one
+mask test per world or atom, enumerating witnesses only for the worlds and
+atoms that fail.
+
 :func:`frame_violations` is the one C1/C2 check that reports witnesses:
 :func:`validate_frame` reports what it yields, and the random generator
 stops at its first breach.  :func:`c1_holds` (C1 at one world) and
@@ -40,6 +48,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .syntax import ATOM_RE
@@ -97,12 +106,15 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def image(rel: Sequence[int], mask: int) -> int:
-    """Union of ``rel[j]`` over the set bits ``j`` of ``mask``."""
+    """Union of ``rel[j]`` over the set bits ``j`` of ``mask``.
+
+    The bits are taken highest first: clearing the top bit shrinks the
+    mask, so each step costs the width of what is left of it."""
     out = 0
     while mask:
-        low = mask & -mask
-        out |= rel[low.bit_length() - 1]
-        mask ^= low
+        j = mask.bit_length() - 1
+        out |= rel[j]
+        mask ^= 1 << j
     return out
 
 
@@ -111,8 +123,10 @@ def _transpose(rel: Sequence[int]) -> tuple[int, ...]:
     out = [0] * len(rel)
     for i, s in enumerate(rel):
         bit = 1 << i
-        for j in iter_bits(s):
+        while s:
+            j = s.bit_length() - 1
             out[j] |= bit
+            s ^= 1 << j
     return tuple(out)
 
 
@@ -132,20 +146,44 @@ class RawModel:
     valuation: dict[str, set[str]]
 
 
+def _exactly(values: Iterable, cls: type) -> bool:
+    """Whether every value's type is exactly ``cls``, in one C-level pass."""
+    return set(map(type, values)) <= {cls}
+
+
+# The two checks below pass a well-formed list a whole list at a time.
+# Where one fails, a loop over the entries names the first bad one, or
+# accepts subclasses of ``list`` and ``str``, which they reject.
+
+def _edges_ok(raw: list, known: set[str]) -> bool:
+    """Whether every entry is a list of two known world names."""
+    if not (_exactly(raw, list) and set(map(len, raw)) <= {2}):
+        return False
+    ends = list(chain.from_iterable(raw))
+    return _exactly(ends, str) and known.issuperset(ends)
+
+
+def _valuation_ok(raw_val: dict, known: set[str]) -> bool:
+    """Whether every entry maps a known world to a list of valid atom names;
+    each distinct name is matched once."""
+    if not (known.issuperset(raw_val) and _exactly(raw_val.values(), list)):
+        return False
+    names = list(chain.from_iterable(raw_val.values()))
+    return _exactly(names, str) and all(map(ATOM_RE.match, set(names)))
+
+
 def _edge_list(doc: dict, key: str, known: set[str]) -> list[tuple[str, str]]:
     raw = doc.get(key, [])
     if not isinstance(raw, list):
         raise ModelFormatError(f"{key!r} must be a list of [from, to] pairs")
-    edges = []
-    for entry in raw:
-        if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, str) for x in entry)):
-            raise ModelFormatError(f"{key!r} entries must be [from, to] name pairs, got {entry!r}")
-        a, b = entry
-        for name in (a, b):
-            if name not in known:
-                raise ModelFormatError(f"unknown world {name!r} in {key!r}")
-        edges.append((a, b))
-    return edges
+    if not _edges_ok(raw, known):
+        for entry in raw:
+            if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, str) for x in entry)):
+                raise ModelFormatError(f"{key!r} entries must be [from, to] name pairs, got {entry!r}")
+            for name in entry:
+                if name not in known:
+                    raise ModelFormatError(f"unknown world {name!r} in {key!r}")
+    return list(map(tuple, raw))
 
 
 def load_model(document: dict | str) -> RawModel:
@@ -164,11 +202,13 @@ def load_model(document: dict | str) -> RawModel:
     worlds = document.get("worlds")
     if not (isinstance(worlds, list) and worlds and all(isinstance(w, str) and w for w in worlds)):
         raise ModelFormatError("'worlds' must be a nonempty list of nonempty names")
-    seen: set[str] = set()
-    for w in worlds:
-        if w in seen:
-            raise ModelFormatError(f"duplicate world name {w!r}")
-        seen.add(w)
+    seen = set(worlds)
+    if len(seen) < len(worlds):
+        seen = set()
+        for w in worlds:
+            if w in seen:
+                raise ModelFormatError(f"duplicate world name {w!r}")
+            seen.add(w)
 
     preorder = _edge_list(document, "preorder", seen)
     transitions = _edge_list(document, "transitions", seen)
@@ -176,18 +216,19 @@ def load_model(document: dict | str) -> RawModel:
     raw_val = document.get("valuation", {})
     if not isinstance(raw_val, dict):
         raise ModelFormatError("'valuation' must map world names to atom lists")
+    if not _valuation_ok(raw_val, seen):
+        for w, atoms in raw_val.items():
+            if w not in seen:
+                raise ModelFormatError(f"unknown world {w!r} in 'valuation'")
+            if not (isinstance(atoms, list) and all(isinstance(a, str) for a in atoms)):
+                raise ModelFormatError(f"valuation of {w!r} must be a list of atom names")
+            for a in atoms:
+                if not ATOM_RE.match(a):
+                    raise ModelFormatError(
+                        f"invalid atom name {a!r} (want lowercase letter, then letters/digits/underscore)"
+                    )
     valuation: dict[str, set[str]] = {w: set() for w in worlds}
-    for w, atoms in raw_val.items():
-        if w not in seen:
-            raise ModelFormatError(f"unknown world {w!r} in 'valuation'")
-        if not (isinstance(atoms, list) and all(isinstance(a, str) for a in atoms)):
-            raise ModelFormatError(f"valuation of {w!r} must be a list of atom names")
-        for a in atoms:
-            if not ATOM_RE.match(a):
-                raise ModelFormatError(
-                    f"invalid atom name {a!r} (want lowercase letter, then letters/digits/underscore)"
-                )
-        valuation[w] = set(atoms)
+    valuation.update(zip(raw_val, map(set, raw_val.values())))
     return RawModel(list(worlds), preorder, transitions, valuation)
 
 
@@ -201,17 +242,68 @@ def close_preorder(n: int, edges: Iterable[tuple[int, int]]) -> frozenset[tuple[
 
 
 def _close_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """``up[i]``: the worlds reachable from ``i`` along ``edges``, ``i`` included.
+
+    One pass: Tarjan's depth-first search (SIAM J. Comput. 1972) closes the
+    strongly connected components in reverse topological order, so when a
+    component closes, every component it has an edge into is already
+    closed and final, and its members share the union of their own bits
+    and those ups.  A world without successors is final from the start and
+    is never entered.
+    """
     up = [1 << i for i in range(n)]
+    succs: dict[int, list[int]] = {}
     for i, j in edges:
         up[i] |= 1 << j
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = image(up, up[i])
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
+        if i in succs:
+            succs[i].append(j)
+        else:
+            succs[i] = [j]
+    num: dict[int, int] = {}  # DFS number of an entered world; 0 once closed
+    low: dict[int, int] = {}  # least DFS number it reaches among open worlds
+    stack: list[int] = []  # entered worlds not yet closed, in DFS order
+    for root in succs:
+        if root in num:
+            continue
+        num[root] = low[root] = len(num) + 1
+        stack.append(root)
+        path = [(root, iter(succs[root]))]
+        while path:
+            v, todo = path[-1]
+            for w in todo:
+                if w not in succs:
+                    continue  # up[w] is its own bit, already in up[v]
+                k = num.get(w)
+                if k is None:
+                    num[w] = low[w] = len(num) + 1
+                    stack.append(w)
+                    path.append((w, iter(succs[w])))
+                    break
+                if not k:
+                    up[v] |= up[w]
+                elif k < low[v]:
+                    low[v] = k
+            else:
+                path.pop()
+                if low[v] == num[v]:  # v roots a component: close it
+                    acc = up[v]
+                    top = stack.pop()
+                    if top != v:  # more than one world: v and those above it
+                        i = len(stack) - 1
+                        while stack[i] != v:
+                            i -= 1
+                        members = stack[i:] + [top]
+                        del stack[i:]
+                        for u in members:
+                            acc |= up[u]
+                        for u in members:
+                            up[u] = acc
+                            num[u] = 0
+                    num[v] = 0
+                    if path:
+                        up[path[-1][0]] |= acc
+                elif low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
     return up
 
 
@@ -396,15 +488,30 @@ def frame_violations(
     """Every C1 and C2 breach ``(rule, x, y, z)`` of a closed preorder and
     transition masks: for each R-edge ``x R y`` (x, then y, ascending) its
     C1 breaches (z over the up-set of y), then its C2 breaches (z over the
-    up-set of x)."""
+    up-set of x).  The up-set of ``x`` is read off its mask once, and each
+    ``(x, y)`` pair costs one mask test for C1 and one per ``z`` for C2."""
     for x in range(len(up)):
         ux = up[x]
-        reach = image(succ, ux)  # the worlds z with some u, x P u and u R z
-        for y in iter_bits(succ[x]):
+        zs = []  # the worlds P-above x, ascending
+        reach = 0  # the worlds z with some u, x P u and u R z
+        while ux:
+            low = ux & -ux
+            ux ^= low
+            z = low.bit_length() - 1
+            zs.append(z)
+            reach |= succ[z]
+        ys = succ[x]
+        while ys:
+            low = ys & -ys
+            ys ^= low
+            y = low.bit_length() - 1
             uy = up[y]
-            for z in iter_bits(uy & ~reach):
-                yield ("C1", x, y, z)
-            for z in iter_bits(ux):
+            miss = uy & ~reach
+            while miss:
+                low = miss & -miss
+                miss ^= low
+                yield ("C1", x, y, low.bit_length() - 1)
+            for z in zs:
                 if not (succ[z] & uy):
                     yield ("C2", x, y, z)
 
@@ -447,13 +554,15 @@ def validate_frame(
             Violation(rule, tuple(m.worlds[i] for i in witness), message)
         )
 
-    W = m.worlds
+    W, up = m.worlds, m.up
     for i in range(m.n):
-        if not (m.up[i] >> i & 1):
+        if not (up[i] >> i & 1):
             emit("reflexive", (i,), f"preorder misses reflexive pair ({W[i]}, {W[i]})")
     for i in range(m.n):
-        for j in iter_bits(m.up[i]):
-            missing = m.up[j] & ~m.up[i]
+        if not image(up, up[i]) & ~up[i]:
+            continue
+        for j in iter_bits(up[i]):
+            missing = up[j] & ~up[i]
             for k in iter_bits(missing):
                 emit(
                     "transitive",
@@ -464,13 +573,15 @@ def validate_frame(
         if not m.succ[i]:
             emit("serial", (i,), f"world {W[i]} has no transition successor")
 
-    for rule, x, y, z in frame_violations(m.up, m.succ):
+    for rule, x, y, z in frame_violations(up, m.succ):
         need = f"{W[x]} P u and u R {W[z]}" if rule == "C1" else f"{W[y]} P u and {W[z]} R u"
         emit(rule, (x, y, z), f"{rule} fails at ({W[x]}, {W[y]}, {W[z]}): no u with {need}")
     for atom in m.atoms:
         amask = m.val[atom]
+        if not image(up, amask) & ~amask:
+            continue
         for i in iter_bits(amask):
-            for j in iter_bits(m.up[i] & ~amask):
+            for j in iter_bits(up[i] & ~amask):
                 emit(
                     "monotone-valuation",
                     (i, j),
