@@ -39,9 +39,15 @@ A[f R g] = interior(~(the same with "some")).
 :func:`lfp` (also :func:`gfp`) iterates an equation as written and is
 kept for checking the kernel against the definition.
 
-Witnesses for the temporal verdicts are extracted from these sets and
-small graph searches; they are best-effort evidence, the boolean verdict
-is the contract.
+A temporal verdict comes with path evidence read off these sets.  A
+true existential is shown by a path from the world: a step into [[f]]
+for EX f, a shortest path for E[f U g], and for E[f R g] a path through
+[[g]] to an f-and-g world or a cycle inside [[g]].  A false universal is
+shown by duality: it fails at w exactly where its classical dual holds
+at some P-greater world, with ~AX f = EX ~f, ~A[f U g] = E[~f R ~g] and
+~A[f R g] = E[~f U ~g], so its evidence is the dual's path at the lowest
+such world, the counterexample shape of Clarke, Jha, Lu and Veith.  So
+evidence exists for every verdict it explains.
 """
 
 from __future__ import annotations
@@ -60,19 +66,7 @@ from .model import (
     up_interior,
 )
 from .oracle import Lasso
-from .syntax import (
-    _IMP,
-    ExistsNext,
-    ExistsRelease,
-    ExistsUntil,
-    ForallNext,
-    ForallRelease,
-    ForallUntil,
-    Formula,
-    Program,
-    compile_formulas,
-    run,
-)
+from .syntax import _AR, _AU, _AX, _ER, _EU, _EX, _IMP, Formula, Program, compile_formulas, run
 
 __all__ = [
     "lfp",
@@ -133,21 +127,11 @@ def exists_release_set(m: BirelationalModel, a: int, b: int) -> int:
 
 
 def forall_until_set(m: BirelationalModel, a: int, b: int) -> int:
-    return up_interior(m, _classical_au(m, a, b))
+    return up_interior(m, _backward(m, b, a, True))
 
 
 def forall_release_set(m: BirelationalModel, a: int, b: int) -> int:
-    return up_interior(m, _classical_ar(m, a, b))
-
-
-def _classical_au(m: BirelationalModel, a: int, b: int) -> int:
-    """Worlds where every R-path satisfies ``a U b``, the preorder ignored."""
-    return _backward(m, b, a, True)
-
-
-def _classical_ar(m: BirelationalModel, a: int, b: int) -> int:
-    """Worlds where every R-path satisfies ``a R b``, the preorder ignored."""
-    return complement(m, _backward(m, complement(m, b), complement(m, a), False))
+    return up_interior(m, complement(m, _backward(m, complement(m, b), complement(m, a), False)))
 
 
 def _backward(m: BirelationalModel, start: int, allowed: int, every: bool) -> int:
@@ -240,34 +224,31 @@ class CheckOutcome:
 def check(
     m: BirelationalModel, world: str, f: Formula, *, validate: bool = True
 ) -> CheckOutcome:
-    """Verdict of ``f`` at ``world`` plus best-effort path evidence.
+    """Verdict of ``f`` at ``world`` plus, when ``f`` is temporal, the path
+    evidence for it: a witness path for a satisfied existential, a
+    universal failure for a failed universal.
 
     ``validate=False`` skips frame validation, as in :func:`denote`.
     """
     if validate:
         ensure_valid(m)
     w = m.world_index(world)
-    sets = denote(m, f, validate=False)
-    sat = bool(sets[f] >> w & 1)
-    witness: Lasso | UniversalFailure | None = None
-    match f:
-        case ExistsNext(s) if sat:
-            witness = _ex_witness(m, w, sets[s])
-        case ExistsUntil(l, r) if sat:
-            witness = _eu_witness(m, w, sets[l], sets[r])
-        case ExistsRelease(l, r) if sat:
-            witness = _er_witness(m, w, sets[l], sets[r])
-        case ForallNext(s) if not sat:
-            witness = _ax_failure(m, w, sets[s])
-        case ForallUntil(l, r) if not sat:
-            witness = _au_failure(m, w, sets[l], sets[r])
-        case ForallRelease(l, r) if not sat:
-            witness = _ar_failure(m, w, sets[l], sets[r])
-    return CheckOutcome(sat, witness)
+    program = compile_formulas([f])
+    sets = evaluate(m, program)
+    kind, l, r = program.nodes[-1]
+    sat = bool(sets[-1] >> w & 1)
+    if kind <= _IMP or sat == (kind in _DUALS):  # evidence is for a true E or a false A
+        return CheckOutcome(sat)
+    explain = _path_witness if sat else _universal_failure
+    return CheckOutcome(sat, explain(m, kind, w, sets[l], sets[r] if r >= 0 else 0))
 
 
 # ---------------------------------------------------------------------------
 # Witness extraction
+
+# each universal kind's classical dual
+_DUALS = {_AX: _EX, _AU: _ER, _AR: _EU}
+
 
 def _extend_to_lasso(m: BirelationalModel, path: list[int]) -> Lasso:
     """Extend an R-path greedily (lowest successor first) until it revisits."""
@@ -343,52 +324,38 @@ def _cycle_lasso_in(m: BirelationalModel, start: int, region: int) -> Lasso | No
     return None
 
 
-def _ex_witness(m: BirelationalModel, w: int, amask: int) -> Lasso:
-    nxt = next(iter_bits(m.succ[w] & amask))
-    return _extend_to_lasso(m, [w, nxt])
-
-
-def _eu_witness(m: BirelationalModel, w: int, amask: int, bmask: int) -> Lasso:
-    path = _shortest_path_in(m, w, amask & ~bmask, bmask)
+def _path_witness(m: BirelationalModel, kind: int, w: int, a: int, b: int) -> Lasso:
+    """A lasso from ``w`` along which the existential ``kind`` holds
+    classically over the masks ``a`` (and ``b``); ``w`` must satisfy it."""
+    if kind == _EX:
+        return _extend_to_lasso(m, [w, next(iter_bits(m.succ[w] & a))])
+    if kind == _EU:
+        path = _shortest_path_in(m, w, a & ~b, b)
+    else:  # E[a R b]: through b to an a-and-b world, or a cycle inside b
+        path = _shortest_path_in(m, w, b & ~a, a & b)
+        if path is None:
+            lasso = _cycle_lasso_in(m, w, b)
+            assert lasso is not None
+            return lasso
     assert path is not None
     return _extend_to_lasso(m, path)
 
 
-def _er_witness(m: BirelationalModel, w: int, amask: int, bmask: int) -> Lasso:
-    path = _shortest_path_in(m, w, bmask & ~amask, amask & bmask)
-    if path is not None:
-        return _extend_to_lasso(m, path)
-    lasso = _cycle_lasso_in(m, w, bmask)
-    assert lasso is not None
-    return lasso
+def _universal_failure(
+    m: BirelationalModel, kind: int, w: int, a: int, b: int
+) -> UniversalFailure | None:
+    """The lowest P-greater world of ``w`` where the classical dual of the
+    universal ``kind`` holds, with that dual's :func:`_path_witness`.
 
-
-def _ax_failure(m: BirelationalModel, w: int, amask: int) -> UniversalFailure | None:
-    for wp in iter_bits(m.up[w]):
-        bad = m.succ[wp] & ~amask
-        if bad:
-            u = next(iter_bits(bad))
-            return UniversalFailure(m.worlds[wp], _extend_to_lasso(m, [wp, u]))
-    return None
-
-
-def _au_failure(m: BirelationalModel, w: int, amask: int, bmask: int) -> UniversalFailure | None:
-    # classical until fails along some path from a P-greater world: either a
-    # path through ~g to a ~f&~g world, or a ~g cycle reached through ~g
-    for wp in iter_bits(m.up[w] & ~_classical_au(m, amask, bmask)):
-        path = _shortest_path_in(m, wp, ~bmask & m.full, m.full & ~amask & ~bmask)
-        if path is not None:
-            return UniversalFailure(m.worlds[wp], _extend_to_lasso(m, path))
-        lasso = _cycle_lasso_in(m, wp, m.full & ~bmask)
-        if lasso is not None:
-            return UniversalFailure(m.worlds[wp], lasso)
-    return None
-
-
-def _ar_failure(m: BirelationalModel, w: int, amask: int, bmask: int) -> UniversalFailure | None:
-    # classical release fails via a path through ~f to a ~g world
-    for wp in iter_bits(m.up[w] & ~_classical_ar(m, amask, bmask)):
-        path = _shortest_path_in(m, wp, m.full & ~amask, m.full & ~bmask)
-        if path is not None:
-            return UniversalFailure(m.worlds[wp], _extend_to_lasso(m, path))
-    return None
+    None only if there is no such world, that is if the verdict being
+    explained was not this module's (a stubbed rule).
+    """
+    na, nb = complement(m, a), complement(m, b)
+    if kind == _AX:  # dual EX ~a, tested on the up-set only
+        x = next((x for x in iter_bits(m.up[w]) if m.succ[x] & na), None)
+    else:  # A[a U b] has the dual E[~a R ~b], A[a R b] has E[~a U ~b]
+        dual = ~_backward(m, b, a, True) if kind == _AU else _backward(m, nb, na, False)
+        x = next(iter_bits(m.up[w] & dual), None)
+    if x is None:
+        return None
+    return UniversalFailure(m.worlds[x], _path_witness(m, _DUALS[kind], x, na, nb))

@@ -32,7 +32,7 @@ from .model import (
     validate_frame,
 )
 from .oracle import Lasso, oracle_check
-from .syntax import ParseError, atoms_of, parse_formula, print_formula
+from .syntax import ParseError, atoms_of, parse_formula, print_formula, print_subformulas
 
 COMPARE_FORMULAS_PER_RUN = 24
 # the battery grows about 1.4x per level: 41 distinct nodes at depth 3,
@@ -162,10 +162,10 @@ def _cmd_denote(args) -> tuple[int, dict, list[str]]:
     f = parse_formula(args.formula)
     entries = []
     lines = []
-    for g, mask in denote(m, f, validate=False).items():
+    for mask, text in zip(denote(m, f, validate=False).values(), print_subformulas(f)):
         names = sorted(m.names(mask))
-        entries.append({"formula": print_formula(g), "worlds": names})
-        lines.append(f"{print_formula(g)}: {{{', '.join(names)}}}")
+        entries.append({"formula": text, "worlds": names})
+        lines.append(f"{text}: {{{', '.join(names)}}}")
     doc = {"verdict": None, "witness": None, "report": entries}
     return 0, doc, lines
 

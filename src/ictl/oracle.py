@@ -114,26 +114,25 @@ def enumerate_lassos(m: BirelationalModel, start: str) -> Iterator[Lasso]:
 
     Each distinct ultimately-periodic path has exactly one such
     representation, so the stream is finite and duplicate-free; seriality
-    guarantees it is nonempty.
+    guarantees it is nonempty.  The depth-first walk keeps its own stack,
+    so a long path costs no recursion.
     """
     s = m.world_index(start)
     stack = [s]
     on_stack = {s: 0}
-
-    def explore() -> Iterator[Lasso]:
-        x = stack[-1]
-        for y in iter_bits(m.succ[x]):
-            if y in on_stack:
-                k = on_stack[y]
-                yield Lasso(tuple(stack[:k]), tuple(stack[k:]))
-            else:
-                on_stack[y] = len(stack)
-                stack.append(y)
-                yield from explore()
-                stack.pop()
-                del on_stack[y]
-
-    yield from explore()
+    iters = [iter_bits(m.succ[s])]  # the successors still to try, per stack world
+    while iters:
+        y = next(iters[-1], -1)
+        if y < 0:
+            iters.pop()
+            del on_stack[stack.pop()]
+        elif y in on_stack:
+            k = on_stack[y]
+            yield Lasso(tuple(stack[:k]), tuple(stack[k:]))
+        else:
+            on_stack[y] = len(stack)
+            stack.append(y)
+            iters.append(iter_bits(m.succ[y]))
 
 
 def lift_path(m: BirelationalModel, w_prime: str, prefix: list[str]) -> list[str]:

@@ -26,11 +26,13 @@ the formulas as DAGs, not as trees.
 into one :class:`Program`, a table of ``(kind, left, right)`` nodes with
 children before parents, in post order over an explicit stack, so no
 depth overflows the call stack.  :func:`subformulas` and :func:`atoms_of`
-read that table, and :func:`print_formula` and a node's ``repr`` (the
-text a dataclass would generate) render it children first.  One per-kind
-table, ``_SYNTAX``, gives each node class its kind, print form and
-precedence.  The parser is the one formula path that still recurses, so
-formula text nested deeper than the recursion limit fails there.
+read that table.  :func:`print_subformulas` renders it children first,
+yielding every node's text as it is built; :func:`print_formula` and a
+node's ``repr`` (the text a dataclass would generate) keep only the last.
+One per-kind table, ``_SYNTAX``, gives each node class its kind, print
+form and precedence.  The parser is the one formula path that still
+recurses, so formula text nested deeper than the recursion limit fails
+there.
 
 :func:`run_frame` is the one loop that evaluates such a table.  Its unit
 is a frame: each node yields a column of masks, one per valuation of the
@@ -47,9 +49,9 @@ on a miss.  :func:`run` evaluates one model, as a batch of one.
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .model import BirelationalModel
@@ -73,6 +75,7 @@ __all__ = [
     "ParseError",
     "parse_formula",
     "print_formula",
+    "print_subformulas",
     "subformulas",
     "children",
     "atoms_of",
@@ -130,7 +133,7 @@ class Formula:
     def __repr__(self) -> str:
         if type(self) not in _SYNTAX:  # not a node class, so no fields to show
             return object.__repr__(self)
-        return _render(self, _repr_node)
+        return deque(_render(self, _repr_node), maxlen=1).pop()
 
 
 # eq=False keeps Formula's iterative __eq__ and its cached __hash__, and
@@ -294,11 +297,15 @@ def atoms_of(f: Formula) -> set[str]:
     return set(compile_formulas([f]).atom_slots)
 
 
-def _render(f: Formula, text: Callable[[Formula, list[tuple[Formula, str]]], str]) -> str:
-    """``f`` as text, built over its :func:`compile_formulas` table children
-    first: ``text(g, kids)`` gets each node with its children and their
-    texts.  A child's text is dropped after its last use, so a deep chain
-    keeps no prefixes."""
+def _render(
+    f: Formula, text: Callable[[Formula, list[tuple[Formula, str]]], str]
+) -> Iterator[str]:
+    """The text of every node of ``f``'s :func:`compile_formulas` table, in
+    table order, each yielded as it is built children first:
+    ``text(g, kids)`` gets each node with its children and their texts.
+    A child's text is dropped here after its last use, so a caller that
+    keeps only the last text (``f``'s own) holds no prefixes of a deep
+    chain."""
     program = compile_formulas([f])
     arity = [len(_SYNTAX[type(g)][3]) for g in program.formulas]
     uses = Counter(c for (_, l, r), k in zip(program.nodes, arity) for c in (l, r)[:k])
@@ -311,7 +318,7 @@ def _render(f: Formula, text: Callable[[Formula, list[tuple[Formula, str]]], str
             if not uses[c]:
                 texts[c] = ""
         texts.append(text(g, kids))
-    return texts[-1]
+        yield texts[-1]
 
 
 def _print_node(g: Formula, kids: list[tuple[Formula, str]]) -> str:
@@ -326,6 +333,12 @@ def _print_node(g: Formula, kids: list[tuple[Formula, str]]) -> str:
 
 def print_formula(f: Formula) -> str:
     """Canonical text form; re-parses to a structurally identical AST."""
+    return deque(print_subformulas(f), maxlen=1).pop()
+
+
+def print_subformulas(f: Formula) -> Iterator[str]:
+    """:func:`print_formula` of every subformula of ``f``, in
+    :func:`subformulas` order, all from one rendering pass."""
     return _render(f, _print_node)
 
 

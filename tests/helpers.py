@@ -129,12 +129,16 @@ def all_prefixes(m: BirelationalModel, start: int, max_len: int):
 # ---------------------------------------------------------------------------
 # Witness revalidation under the oracle
 
-def witness_revalidates(m: BirelationalModel, world: str, f: Formula, out: CheckOutcome) -> bool:
+def witness_revalidates(
+    m: BirelationalModel, world: str, f: Formula, out: CheckOutcome, sets: dict | None = None
+) -> bool:
     """True if the outcome's evidence genuinely supports the verdict when
-    judged by the path oracle's subformula sets."""
+    judged by the path oracle's subformula sets (``sets``, if the caller
+    has already computed ``oracle_denotation(m, f)``)."""
     if out.witness is None:
         return True
-    sets = oracle_denotation(m, f)
+    if sets is None:
+        sets = oracle_denotation(m, f)
     w = m.world_index(world)
 
     def holds_on(lasso: Lasso) -> bool:

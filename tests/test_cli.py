@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,10 @@ import ictl.checker as checker
 import ictl.cli as cli
 import ictl.model as model
 from ictl.cli import main
-from ictl.fixtures import FOUR_WORLD_DOC
+from ictl.checker import denote
+from ictl.fixtures import FOUR_WORLD_DOC, four_world_model
 from ictl.model import pre_forall
+from ictl.syntax import parse_formula, print_formula
 
 
 def run(capsys, *argv):
@@ -198,6 +201,39 @@ def test_check_output_pinned(capsys, monkeypatch, four_world_path, verdict, engi
     assert out == (human if fmt == "human" else json.dumps(doc, indent=2) + "\n")
 
 
+# (formula, world) -> (exit code, human witness line, JSON witness), as the
+# fixpoint engine reports them, one per evidence shape
+EVIDENCE_PINS = {
+    ("EX q", "w1"): (0, "path w1 (w2)*", WITNESS_PATH),
+    ("E[p R q]", "w2"): (0, "path (w2)*", {"type": "path", "prefix": [], "cycle": ["w2"]}),
+    ("AX q", "w1"): (
+        1, "fails above at v1: v1 (v2)*",
+        {"type": "universal-failure", "world": "v1", "lasso": {"prefix": ["v1"], "cycle": ["v2"]}},
+    ),
+    ("A[p U EX p]", "w1"): (1, "fails above at w1: w1 (w2)*", WITNESS_FAILS_ABOVE),
+    ("A[q U ~q]", "v1"): (
+        1, "fails above at v1: (v1)*",
+        {"type": "universal-failure", "world": "v1", "lasso": {"prefix": [], "cycle": ["v1"]}},
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+@pytest.mark.parametrize("formula,world", list(EVIDENCE_PINS))
+def test_evidence_output_pinned(capsys, four_world_path, formula, world, fmt):
+    code, line, witness = EVIDENCE_PINS[(formula, world)]
+    verdict = UNSAT if code else SAT
+    got, out, err = run(capsys, "--format", fmt, "check", four_world_path, world, formula)
+    doc = {
+        "command": "check",
+        "verdict": verdict,
+        "witness": witness,
+        "report": [{"engine": "fixpoint", "satisfied": not code}],
+    }
+    assert (got, err) == (code, "")
+    assert out == (f"{verdict}\nwitness: {line}\n" if fmt == "human" else json.dumps(doc, indent=2) + "\n")
+
+
 class TestDenote:
     def test_atom(self, capsys, four_world_path):
         code, out, _ = run(capsys, "denote", four_world_path, "p")
@@ -216,6 +252,24 @@ class TestDenote:
         code, out, _ = run(capsys, "--format", "json", "denote", four_world_path, "p & q")
         doc = json.loads(out)
         assert [e["formula"] for e in doc["report"]] == ["p", "q", "p & q"]
+
+    def test_deep_negation_rendered_once(self, capsys, four_world_path):
+        f = parse_formula("~" * 900 + "p")
+        m = four_world_model()
+        want = [
+            (print_formula(g), sorted(m.names(mask))) for g, mask in denote(m, f).items()
+        ]
+        for fmt in ("human", "json"):
+            start = time.perf_counter()
+            code, out, _ = run(capsys, "--format", fmt, "denote", four_world_path, "~" * 900 + "p")
+            # about 0.05 s; rendering every subformula from scratch took 6.5 s
+            assert time.perf_counter() - start < 1.0
+            assert code == 0
+            if fmt == "json":
+                got = [(e["formula"], e["worlds"]) for e in json.loads(out)["report"]]
+                assert got == [(text, names) for text, names in want]
+            else:
+                assert out == "".join(f"{t}: {{{', '.join(n)}}}\n" for t, n in want)
 
 
 class TestCountermodel:

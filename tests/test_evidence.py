@@ -1,0 +1,251 @@
+"""``check``'s evidence against a reference copy of its former per-operator
+witness searches.
+
+``reference_check`` keeps, as they were before the universal failures were
+read off their classical duals, the six per-operator witness functions
+and the ``match`` that chose among them.  It shares only the three graph
+searches (``_extend_to_lasso``, ``_shortest_path_in``, ``_cycle_lasso_in``)
+and the worklist ``_backward`` with the engine.
+"""
+
+from __future__ import annotations
+
+from itertools import islice
+
+import pytest
+
+from helpers import witness_revalidates
+from ictl import checker
+from ictl.checker import (
+    CheckOutcome,
+    UniversalFailure,
+    _backward,
+    _cycle_lasso_in,
+    _extend_to_lasso,
+    _shortest_path_in,
+    check,
+    denote,
+)
+from ictl.fixtures import four_world_model
+from ictl.gen import GenParams, enumerate_models, product_frame, random_model
+from ictl.model import build_model, complement, iter_bits
+from ictl.oracle import oracle_denotation
+from ictl.syntax import (
+    ExistsNext,
+    ExistsRelease,
+    ExistsUntil,
+    ForallNext,
+    ForallRelease,
+    ForallUntil,
+    _IMP,
+    compile_formulas,
+    parse_formula,
+)
+
+# every temporal top operator, over atoms and over compound children
+FORMULAS = [
+    parse_formula(t)
+    for t in [
+        "EX p",
+        "AX p",
+        "E[p U q]",
+        "E[p R q]",
+        "A[p U q]",
+        "A[p R q]",
+        "EX ~q",
+        "AX (p -> q)",
+        "E[(q -> p) U AX p]",
+        "E[q R (p | AX q)]",
+        "A[~q U EX p]",
+        "A[p R ~q]",
+    ]
+]
+
+
+def _classical_au(m, a, b):
+    return _backward(m, b, a, True)
+
+
+def _classical_ar(m, a, b):
+    return complement(m, _backward(m, complement(m, b), complement(m, a), False))
+
+
+def _ex_witness(m, w, amask):
+    nxt = next(iter_bits(m.succ[w] & amask))
+    return _extend_to_lasso(m, [w, nxt])
+
+
+def _eu_witness(m, w, amask, bmask):
+    path = _shortest_path_in(m, w, amask & ~bmask, bmask)
+    assert path is not None
+    return _extend_to_lasso(m, path)
+
+
+def _er_witness(m, w, amask, bmask):
+    path = _shortest_path_in(m, w, bmask & ~amask, amask & bmask)
+    if path is not None:
+        return _extend_to_lasso(m, path)
+    lasso = _cycle_lasso_in(m, w, bmask)
+    assert lasso is not None
+    return lasso
+
+
+def _ax_failure(m, w, amask):
+    for wp in iter_bits(m.up[w]):
+        bad = m.succ[wp] & ~amask
+        if bad:
+            u = next(iter_bits(bad))
+            return UniversalFailure(m.worlds[wp], _extend_to_lasso(m, [wp, u]))
+    return None
+
+
+def _au_failure(m, w, amask, bmask):
+    # classical until fails along some path from a P-greater world: either a
+    # path through ~g to a ~f&~g world, or a ~g cycle reached through ~g
+    for wp in iter_bits(m.up[w] & ~_classical_au(m, amask, bmask)):
+        path = _shortest_path_in(m, wp, ~bmask & m.full, m.full & ~amask & ~bmask)
+        if path is not None:
+            return UniversalFailure(m.worlds[wp], _extend_to_lasso(m, path))
+        lasso = _cycle_lasso_in(m, wp, m.full & ~bmask)
+        if lasso is not None:
+            return UniversalFailure(m.worlds[wp], lasso)
+    return None
+
+
+def _ar_failure(m, w, amask, bmask):
+    # classical release fails via a path through ~f to a ~g world
+    for wp in iter_bits(m.up[w] & ~_classical_ar(m, amask, bmask)):
+        path = _shortest_path_in(m, wp, m.full & ~amask, m.full & ~bmask)
+        if path is not None:
+            return UniversalFailure(m.worlds[wp], _extend_to_lasso(m, path))
+    return None
+
+
+def reference_check(m, world, f):
+    w = m.world_index(world)
+    sets = denote(m, f, validate=False)
+    sat = bool(sets[f] >> w & 1)
+    witness = None
+    match f:
+        case ExistsNext(s) if sat:
+            witness = _ex_witness(m, w, sets[s])
+        case ExistsUntil(l, r) if sat:
+            witness = _eu_witness(m, w, sets[l], sets[r])
+        case ExistsRelease(l, r) if sat:
+            witness = _er_witness(m, w, sets[l], sets[r])
+        case ForallNext(s) if not sat:
+            witness = _ax_failure(m, w, sets[s])
+        case ForallUntil(l, r) if not sat:
+            witness = _au_failure(m, w, sets[l], sets[r])
+        case ForallRelease(l, r) if not sat:
+            witness = _ar_failure(m, w, sets[l], sets[r])
+    return CheckOutcome(sat, witness)
+
+
+def assert_same_evidence(m, worlds=None, formulas=FORMULAS):
+    """``check`` equals the reference at ``worlds`` (default: all) for every
+    formula, and its evidence revalidates under the oracle; returns the
+    number of outcomes that carry evidence."""
+    with_evidence = 0
+    for f in formulas:
+        sets = oracle_denotation(m, f)
+        for world in m.worlds if worlds is None else worlds:
+            got = check(m, world, f, validate=False)
+            assert got == reference_check(m, world, f), (world, f)
+            assert witness_revalidates(m, world, f, got, sets), (world, f)
+            with_evidence += got.witness is not None
+    return with_evidence
+
+
+def cycle_model(n):
+    """An ``n``-world cycle, discrete preorder; ``q`` at one world, ``p`` elsewhere."""
+    worlds = [f"c{i}" for i in range(n)]
+    return build_model(
+        worlds,
+        [],
+        [(worlds[i], worlds[(i + 1) % n]) for i in range(n)],
+        {w: ["q"] if i == 0 else ["p"] for i, w in enumerate(worlds)},
+    )
+
+
+def product_model(stages, ring):
+    """A chain of ``stages`` times a ``ring`` of states with sparse chords;
+    ``q`` at two states of the upper stages, ``p`` almost everywhere."""
+    ks = [f"k{k}" for k in range(stages)]
+    states = [f"s{j}" for j in range(ring)]
+    trans = [(states[j], states[(j + 1) % ring]) for j in range(ring)]
+    trans += [(states[j], states[(j + 7) % ring]) for j in range(0, ring, 40)]
+    val = {
+        (k, s): (["p"] if j % 50 != 25 or i >= 2 else []) + (["q"] if j in (0, 117) and i >= 2 else [])
+        for i, k in enumerate(ks)
+        for j, s in enumerate(states)
+    }
+    return product_frame(ks, list(zip(ks, ks[1:])), states, trans, val)
+
+
+class TestEvidenceMatchesReference:
+    def test_fixture(self):
+        assert assert_same_evidence(four_world_model()) > 0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_small_model(self, n):
+        assert sum(assert_same_evidence(m) for m in enumerate_models(n, 2)) > 0
+
+    def test_slice_of_three_world_models(self):
+        models = islice(enumerate_models(3, 2), 0, None, 211)
+        assert sum(assert_same_evidence(m) for m in models) > 0
+
+    def test_random_models(self):
+        total = 0
+        for k in range(70):
+            params = GenParams(n_worlds=2 + k % 7, n_atoms=2, seed=7000 + k)
+            total += assert_same_evidence(random_model(params))
+        assert total > 0
+
+    def test_product_model(self):
+        m = product_model(4, 250)
+        assert m.n == 1000
+        worlds = ["k0.s24", "k0.s25", "k1.s100", "k2.s116", "k3.s249"]
+        assert assert_same_evidence(m, worlds) > 0
+
+    def test_2000_world_cycle(self):
+        # the six operators over atoms: the oracle's until sets are quadratic
+        # here, so the compound children are left to the models above
+        m = cycle_model(2000)
+        assert assert_same_evidence(m, ["c0", "c1", "c1000", "c1999"], FORMULAS[:6]) > 0
+
+    def test_fixture_gives_evidence_for_every_operator(self):
+        m = four_world_model()
+        kinds = {type(f) for f in FORMULAS for w in m.worlds if check(m, w, f).witness}
+        assert kinds == {
+            ExistsNext, ForallNext, ExistsUntil, ExistsRelease, ForallUntil, ForallRelease
+        }
+
+
+def test_evidence_calls_no_rule(monkeypatch):
+    # the evidence reads _backward and the masks, never a stubbable
+    # checker.<op>_set, so each rule runs once per node of its kind
+    m = four_world_model()
+    want = {(f, w): check(m, w, f) for f in FORMULAS for w in m.worlds}
+    calls = []
+    for op in checker.operators():
+        if op is not None:
+            def counting(*args, op=op):
+                calls.append(op.__name__)
+                return op(*args)
+
+            monkeypatch.setattr(checker, op.__name__, counting)
+    for (f, w), outcome in want.items():
+        calls.clear()
+        assert check(m, w, f) == outcome
+        program = compile_formulas([f])
+        assert len(calls) == sum(kind >= _IMP for kind, _, _ in program.nodes)
+
+
+def test_stubbed_universal_rule_changes_only_the_verdict(monkeypatch):
+    # a wrong rule that fails AX everywhere leaves no P-greater world where
+    # the dual EX ~true holds, so the verdict comes without evidence
+    m = four_world_model()
+    monkeypatch.setattr(checker, "forall_next_set", lambda m, a: 0)
+    for world in m.worlds:
+        assert check(m, world, parse_formula("AX true")) == CheckOutcome(False, None)

@@ -7,7 +7,7 @@ import ictl.model as model
 import ictl.oracle as oracle
 from ictl.checker import check, denote
 from ictl.gen import GenParams, random_model
-from ictl.model import BirelationalModel, build_model, with_identity_preorder
+from ictl.model import BirelationalModel, build_model, iter_bits, with_identity_preorder
 from ictl.oracle import (
     Lasso,
     PathLiftError,
@@ -108,6 +108,39 @@ class TestLassos:
         for w in m.worlds:
             lassos = list(enumerate_lassos(m, w))
             assert len(lassos) == len(set(lassos))
+
+    def test_same_stream_as_recursive_walk(self, four_world):
+        def recursive(m, start):
+            stack = [m.world_index(start)]
+            on_stack = {stack[0]: 0}
+
+            def explore():
+                for y in iter_bits(m.succ[stack[-1]]):
+                    if y in on_stack:
+                        k = on_stack[y]
+                        yield Lasso(tuple(stack[:k]), tuple(stack[k:]))
+                    else:
+                        on_stack[y] = len(stack)
+                        stack.append(y)
+                        yield from explore()
+                        stack.pop()
+                        del on_stack[y]
+
+            yield from explore()
+
+        models = [four_world] + [
+            random_model(GenParams(n_worlds=2 + k % 5, n_atoms=0, seed=300 + k, edge_density=0.5))
+            for k in range(40)
+        ]
+        for m in models:
+            for w in m.worlds:
+                assert list(enumerate_lassos(m, w)) == list(recursive(m, w))
+
+    def test_2000_world_cycle_has_one_lasso(self):
+        n = 2000
+        worlds = [f"c{i}" for i in range(n)]
+        m = build_model(worlds, [], [(worlds[i], worlds[(i + 1) % n]) for i in range(n)], {})
+        assert list(enumerate_lassos(m, "c5")) == [Lasso((), tuple((5 + i) % n for i in range(n)))]
 
     def test_lasso_path_evaluators(self, four_world):
         m = four_world
