@@ -251,18 +251,16 @@ _DUALS = {_AX: _EX, _AU: _ER, _AR: _EU}
 
 
 def _extend_to_lasso(m: BirelationalModel, path: list[int]) -> Lasso:
-    """Extend an R-path greedily (lowest successor first) until it revisits."""
-    seq = list(path)
-    pos = {}
-    for i, w in enumerate(seq):
-        pos.setdefault(w, i)
-    while True:
-        nxt = (m.succ[seq[-1]] & -m.succ[seq[-1]]).bit_length() - 1
-        if nxt in pos:
-            k = pos[nxt]
-            return Lasso(tuple(seq[:k]), tuple(seq[k:]))
-        pos[nxt] = len(seq)
-        seq.append(nxt)
+    """Walk an R-path, then extend it greedily (lowest successor first),
+    and close the lasso at the first world it revisits, so no world repeats."""
+    seq: list[int] = []
+    pos: dict[int, int] = {}
+    w = path[0]
+    while w not in pos:
+        pos[w] = len(seq)
+        seq.append(w)
+        w = path[len(seq)] if len(seq) < len(path) else (m.succ[w] & -m.succ[w]).bit_length() - 1
+    return Lasso(tuple(seq[:pos[w]]), tuple(seq[pos[w]:]))
 
 
 def _shortest_path_in(

@@ -324,10 +324,8 @@ def main(argv: list[str] | None = None) -> int:
         code, doc, lines = args.handler(args)
     except _ArgumentError as e:
         code, doc, lines, is_error = 2, {"error": str(e)}, [e.text], True
-    except (ParseError, ModelFormatError, _UsageError, KeyError, OSError, RecursionError) as e:
+    except (ParseError, ModelFormatError, _UsageError, KeyError, OSError) as e:
         msg = e.args[0] if isinstance(e, KeyError) and e.args else e  # str(KeyError) quotes
-        if isinstance(e, RecursionError):
-            msg = f"input nested too deeply: {e}"
         code, doc, lines, is_error = 2, {"error": str(msg)}, [f"error: {msg}"], True
     except InvalidModelError as e:
         code = 3

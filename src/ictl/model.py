@@ -193,6 +193,8 @@ def load_model(document: dict | str) -> RawModel:
             document = json.loads(document)
         except json.JSONDecodeError as e:
             raise ModelFormatError(f"not valid JSON: {e}") from e
+        except RecursionError as e:  # the decoder recurses once per level of nesting
+            raise ModelFormatError(f"not valid JSON: nested too deeply ({e})") from e
     if not isinstance(document, dict):
         raise ModelFormatError("model document must be a JSON object")
     extra = set(document) - _DOC_KEYS

@@ -30,9 +30,13 @@ read that table.  :func:`print_subformulas` renders it children first,
 yielding every node's text as it is built; :func:`print_formula` and a
 node's ``repr`` (the text a dataclass would generate) keep only the last.
 One per-kind table, ``_SYNTAX``, gives each node class its kind, print
-form and precedence.  The parser is the one formula path that still
-recurses, so formula text nested deeper than the recursion limit fails
-there.
+form and precedence.  :func:`parse_formula` reads that precedence too:
+it is one loop over the tokens with an explicit stack of open groups
+(the input, a parenthesis, either side of ``E[``/``A[``), taking the
+level of ``&``, ``|`` and ``->`` from ``_SYNTAX`` and grouping a chain to
+the left exactly where the left child prints at its node's level, so
+parser and printer cannot drift apart and text nests as deep as memory
+allows.
 
 :func:`run_frame` is the one loop that evaluates such a table.  Its unit
 is a frame: each node yields a column of masks, one per valuation of the
@@ -51,6 +55,7 @@ from __future__ import annotations
 import re
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -429,7 +434,19 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_KEYWORDS = {"E", "A", "U", "R", "EX", "AX", "false", "true"}
+# The parser's token tables.  An infix connective's token, the level it
+# binds at and whether a chain of it groups to the left (exactly where its
+# left child prints at its own level) are read off its row in _SYNTAX.
+_BINARY = {
+    form.split()[1]: (cls, level, kids[0] == level)
+    for cls, (_, form, level, kids) in _SYNTAX.items()
+    if form.startswith("{} ")
+}
+_PREFIX = {"~": negation, "EX": ExistsNext, "AX": ForallNext}
+_BRACKETED = {"E": {"U": ExistsUntil, "R": ExistsRelease}, "A": {"U": ForallUntil, "R": ForallRelease}}
+_CONSTANTS = {"false": BOTTOM, "true": TRUE}
+_KEYWORDS = {*_PREFIX, *_BRACKETED, *_BRACKETED["E"], *_CONSTANTS}
+_FORMULA_START = (*_PREFIX, *_BRACKETED, "(", *_CONSTANTS, "atom")
 
 
 @dataclass(frozen=True, slots=True)
@@ -478,105 +495,66 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # Parser
 
-_FORMULA_START = ("~", "EX", "AX", "E", "A", "(", "false", "true", "atom")
 
-
-def _describe(tok: _Token) -> str:
-    return "end of input" if tok.kind == "EOF" else repr(tok.text)
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
-
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
-
-    def eat(self, kind: str) -> _Token:
-        tok = self.cur
-        if tok.kind != kind:
-            raise ParseError(f"unexpected {_describe(tok)}", tok.pos, (kind,))
-        self.i += 1
-        return tok
-
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.cur.kind == "->":
-            self.eat("->")
-            return Implies(left, self.formula())
-        return left
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.cur.kind == "|":
-            self.eat("|")
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.cur.kind == "&":
-            self.eat("&")
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.cur
-        match tok.kind:
-            case "~":
-                self.eat("~")
-                return negation(self.unary())
-            case "EX":
-                self.eat("EX")
-                return ExistsNext(self.unary())
-            case "AX":
-                self.eat("AX")
-                return ForallNext(self.unary())
-            case "E":
-                return self.bracketed(ExistsUntil, ExistsRelease)
-            case "A":
-                return self.bracketed(ForallUntil, ForallRelease)
-            case "(":
-                self.eat("(")
-                f = self.formula()
-                self.eat(")")
-                return f
-            case "false":
-                self.eat("false")
-                return BOTTOM
-            case "true":
-                self.eat("true")
-                return TRUE
-            case "ATOM":
-                self.eat("ATOM")
-                return Atom(tok.text)
-        raise ParseError(f"unexpected {_describe(tok)}", tok.pos, _FORMULA_START)
-
-    def bracketed(self, until: type, release: type) -> Formula:
-        self.eat(self.cur.kind)  # E or A
-        self.eat("[")
-        left = self.formula()
-        tok = self.cur
-        if tok.kind == "U":
-            ctor = until
-        elif tok.kind == "R":
-            ctor = release
-        else:
-            raise ParseError(f"unexpected {_describe(tok)}", tok.pos, ("U", "R"))
-        self.eat(tok.kind)
-        right = self.formula()
-        self.eat("]")
-        return ctor(left, right)
+def _unexpected(tok: _Token, expected: tuple[str, ...]) -> ParseError:
+    what = "end of input" if tok.kind == "EOF" else repr(tok.text)
+    return ParseError(f"unexpected {what}", tok.pos, expected)
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse the surface syntax into an AST, or raise :class:`ParseError`."""
+    """Parse the surface syntax into an AST, or raise :class:`ParseError`.
+
+    One pass over the tokens with an explicit stack, so text nests as deep
+    as memory allows.  The stack holds the open entries, innermost last, as
+    ``(level, build, closers)``: a prefix, or a connective with its left
+    operand, binds at its level and builds its node from the operand that
+    follows; a group (the input, ``(``, either side of ``E[``/``A[``) sits
+    at level -1 until one of its closers ends it.  After an operand, the
+    next token first applies every open entry that binds tighter than it.
+    """
     tokens = _tokenize(text)
     if tokens[0].kind == "EOF":
         raise ParseError("empty input", 0, _FORMULA_START)
-    parser = _Parser(tokens)
-    f = parser.formula()
-    parser.eat("EOF")
-    return f
+    stack: list[tuple[int, Callable | dict | None, tuple[str, ...]]] = [(-1, None, ("EOF",))]
+    i = 0
+    while True:  # at the start of an operand
+        tok = tokens[i]
+        i += 1
+        if tok.kind in _PREFIX:
+            stack.append((3, _PREFIX[tok.kind], ()))  # prefixes bind tightest
+            continue
+        if tok.kind == "(":
+            stack.append((-1, None, (")",)))
+            continue
+        if tok.kind in _BRACKETED:
+            if tokens[i].kind != "[":
+                raise _unexpected(tokens[i], ("[",))
+            i += 1
+            build = _BRACKETED[tok.kind]
+            stack.append((-1, build, tuple(build)))
+            continue
+        if tok.kind == "ATOM":
+            f = Atom(tok.text)
+        elif tok.kind in _CONSTANTS:
+            f = _CONSTANTS[tok.kind]
+        else:
+            raise _unexpected(tok, _FORMULA_START)
+        while True:  # after the operand f
+            tok = tokens[i]
+            i += 1
+            cls, level, left_first = _BINARY.get(tok.kind, (None, -1, False))
+            while stack[-1][0] > level or stack[-1][0] == level and left_first:
+                f = stack.pop()[1](f)
+            if cls is not None:
+                stack.append((level, partial(cls, f), ()))
+                break
+            _, build, closers = stack.pop()
+            if tok.kind not in closers:
+                raise _unexpected(tok, closers)
+            if tok.kind == "EOF":
+                return f
+            if type(build) is dict:  # U or R: the right side of E[ / A[ opens
+                stack.append((-1, partial(build[tok.kind], f), ("]",)))
+                break
+            if build is not None:  # ]
+                f = build(f)

@@ -206,6 +206,7 @@ def test_check_output_pinned(capsys, monkeypatch, four_world_path, verdict, engi
 EVIDENCE_PINS = {
     ("EX q", "w1"): (0, "path w1 (w2)*", WITNESS_PATH),
     ("E[p R q]", "w2"): (0, "path (w2)*", {"type": "path", "prefix": [], "cycle": ["w2"]}),
+    ("EX p", "v1"): (0, "path (v1)*", {"type": "path", "prefix": [], "cycle": ["v1"]}),
     ("AX q", "w1"): (
         1, "fails above at v1: v1 (v2)*",
         {"type": "universal-failure", "world": "v1", "lasso": {"prefix": ["v1"], "cycle": ["v2"]}},
@@ -342,22 +343,35 @@ class TestCountermodel:
 
 
 class TestDeepInput:
-    DEEP = "~" * 5000 + "p"
+    DEPTH = 5000
 
     @pytest.mark.parametrize("fmt", ["human", "json"])
     @pytest.mark.parametrize("command", ["check", "countermodel"])
-    def test_exit_2_without_traceback(self, capsys, four_world_path, fmt, command):
-        if command == "check":
-            argv = ["check", four_world_path, "w1", self.DEEP]
-        else:
-            argv = ["countermodel", self.DEEP, "--max-worlds", "1"]
+    def test_deep_text_runs(self, capsys, four_world_path, fmt, command):
+        # the parser keeps its own stack, so text nests past the recursion limit
+        for opening, closing in NESTINGS:
+            text = opening * self.DEPTH + "p" + closing * self.DEPTH
+            if command == "check":
+                argv = ["check", four_world_path, "w1", text, "--engine", "both"]
+            else:
+                argv = ["countermodel", text, "--max-worlds", "1"]
+            code, out, err = run(capsys, "--format", fmt, *argv)
+            assert code in (0, 1), (opening, out + err)
+            assert "Traceback" not in out + err
+            if fmt == "json" and command == "check":  # the engines agree
+                assert len({e["satisfied"] for e in json.loads(out)["report"]}) == 1
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    @pytest.mark.parametrize("command", ["check", "validate"])
+    def test_deep_model_exit_2(self, capsys, tmp_path, fmt, command):
+        # the json decoder recurses once per level: the one input still too deep
+        path = tmp_path / "deep.json"
+        path.write_text("[" * self.DEPTH + "]" * self.DEPTH)
+        argv = ["check", str(path), "w1", "p"] if command == "check" else ["validate", str(path)]
         code, out, err = run(capsys, "--format", fmt, *argv)
         assert code == 2
         assert "Traceback" not in out + err
-        if fmt == "json":
-            assert "nested too deeply" in json.loads(out)["error"]
-        else:
-            assert "nested too deeply" in err
+        assert "nested too deeply" in (json.loads(out)["error"] if fmt == "json" else err)
 
     def test_500_negations_checked(self, capsys, four_world_path):
         code, out, _ = run(capsys, "check", four_world_path, "w1", "~" * 500 + "p")

@@ -29,7 +29,7 @@ from ictl.checker import (
 from ictl.fixtures import four_world_model
 from ictl.gen import GenParams, enumerate_models, product_frame, random_model
 from ictl.model import build_model, complement, iter_bits
-from ictl.oracle import oracle_denotation
+from ictl.oracle import Lasso, enumerate_lassos, oracle_denotation
 from ictl.syntax import (
     ExistsNext,
     ExistsRelease,
@@ -153,7 +153,12 @@ def assert_same_evidence(m, worlds=None, formulas=FORMULAS):
             got = check(m, world, f, validate=False)
             assert got == reference_check(m, world, f), (world, f)
             assert witness_revalidates(m, world, f, got, sets), (world, f)
-            with_evidence += got.witness is not None
+            if got.witness is not None:
+                # each path has one lasso form, the one enumerate_lassos gives
+                w = got.witness
+                start, lasso = (world, w) if isinstance(w, Lasso) else (w.world, w.lasso)
+                assert lasso in enumerate_lassos(m, start), (world, f, got)
+                with_evidence += 1
     return with_evidence
 
 

@@ -87,6 +87,11 @@ class TestLoad:
         with pytest.raises(ModelFormatError):
             load_model("{nope")
 
+    def test_json_nested_too_deeply(self):
+        # the json decoder recurses once per level of nesting
+        with pytest.raises(ModelFormatError, match="^not valid JSON: nested too deeply"):
+            load_model("[" * 5000 + "]" * 5000)
+
     def test_unknown_world_in_valuation(self):
         doc = dict(FOUR_WORLD_DOC, valuation={"zz": ["p"]})
         with pytest.raises(ModelFormatError, match="zz"):

@@ -3,7 +3,9 @@
 ``TestReference`` holds the subformula walk, the table and the printer
 written by recursion on the formula, and asks ``compile_formulas`` and
 its views for identical tables and byte-identical text on seeded random
-formulas.  ``TestDeepFormulas`` drives formulas far deeper than the
+formulas.  It also keeps the recursive-descent parser, one method per
+precedence level, and asks ``parse_formula`` for the same AST or the same
+``ParseError`` on seeded random text.  ``TestDeepFormulas`` drives formulas far deeper than the
 recursion limit through every path that reads the table.
 """
 
@@ -15,8 +17,9 @@ from dataclasses import fields
 
 import pytest
 
+from test_cli import FORMULA_TOKENS
 from ictl.checker import check, denote
-from ictl.gen import find_countermodel
+from ictl.gen import find_countermodel, random_formula
 from ictl.oracle import oracle_denotation
 from ictl.syntax import (
     _AND,
@@ -45,6 +48,7 @@ from ictl.syntax import (
     Or,
     ParseError,
     TRUE,
+    _tokenize,
     atoms_of,
     children,
     compile_formulas,
@@ -435,6 +439,119 @@ def reference_repr(f):
     return f"{type(f).__qualname__}({', '.join(args)})"
 
 
+REFERENCE_FORMULA_START = ("~", "EX", "AX", "E", "A", "(", "false", "true", "atom")
+
+
+def reference_describe(tok):
+    return "end of input" if tok.kind == "EOF" else repr(tok.text)
+
+
+class ReferenceParser:
+    """Recursive descent over the shared tokens, one method per level."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+
+    @property
+    def cur(self):
+        return self.tokens[self.i]
+
+    def eat(self, kind):
+        tok = self.cur
+        if tok.kind != kind:
+            raise ParseError(f"unexpected {reference_describe(tok)}", tok.pos, (kind,))
+        self.i += 1
+        return tok
+
+    def formula(self):
+        left = self.disjunction()
+        if self.cur.kind == "->":
+            self.eat("->")
+            return Implies(left, self.formula())
+        return left
+
+    def disjunction(self):
+        f = self.conjunction()
+        while self.cur.kind == "|":
+            self.eat("|")
+            f = Or(f, self.conjunction())
+        return f
+
+    def conjunction(self):
+        f = self.unary()
+        while self.cur.kind == "&":
+            self.eat("&")
+            f = And(f, self.unary())
+        return f
+
+    def unary(self):
+        tok = self.cur
+        match tok.kind:
+            case "~":
+                self.eat("~")
+                return negation(self.unary())
+            case "EX":
+                self.eat("EX")
+                return ExistsNext(self.unary())
+            case "AX":
+                self.eat("AX")
+                return ForallNext(self.unary())
+            case "E":
+                return self.bracketed(ExistsUntil, ExistsRelease)
+            case "A":
+                return self.bracketed(ForallUntil, ForallRelease)
+            case "(":
+                self.eat("(")
+                f = self.formula()
+                self.eat(")")
+                return f
+            case "false":
+                self.eat("false")
+                return BOTTOM
+            case "true":
+                self.eat("true")
+                return TRUE
+            case "ATOM":
+                self.eat("ATOM")
+                return Atom(tok.text)
+        raise ParseError(f"unexpected {reference_describe(tok)}", tok.pos, REFERENCE_FORMULA_START)
+
+    def bracketed(self, until, release):
+        self.eat(self.cur.kind)  # E or A
+        self.eat("[")
+        left = self.formula()
+        tok = self.cur
+        if tok.kind == "U":
+            ctor = until
+        elif tok.kind == "R":
+            ctor = release
+        else:
+            raise ParseError(f"unexpected {reference_describe(tok)}", tok.pos, ("U", "R"))
+        self.eat(tok.kind)
+        right = self.formula()
+        self.eat("]")
+        return ctor(left, right)
+
+
+def reference_parse(text):
+    tokens = _tokenize(text)
+    if tokens[0].kind == "EOF":
+        raise ParseError("empty input", 0, REFERENCE_FORMULA_START)
+    parser = ReferenceParser(tokens)
+    f = parser.formula()
+    parser.eat("EOF")
+    return f
+
+
+def parse_outcome(parse, text):
+    """The AST, or the error's text, position and expected tokens."""
+    try:
+        return parse(text)
+    except ParseError as e:
+        return str(e), e.position, e.expected
+
+
 UNARY = (ExistsNext, ForallNext, negation)
 BINARY = (And, Or, Implies, ExistsUntil, ExistsRelease, ForallUntil, ForallRelease)
 
@@ -490,6 +607,22 @@ class TestReference:
             "Atom(name='p'), right=ForallRelease(left=Atom(name='q'), right=Bottom())))))"
         )
         assert repr(Atom("it's")) == 'Atom(name="it\'s")'
+
+    def test_parser_matches_reference(self):
+        # token soup, printed random formulas, and those with one character
+        # deleted: 102,000 inputs
+        rng = random.Random(2310)
+        vocabulary = [*FORMULA_TOKENS, "@", "Foo"]
+        parsed = 0
+        for _ in range(34_000):
+            text = print_formula(random_formula(rng, rng.randint(1, 6), ["p", "q", "r"]))
+            j = rng.randrange(len(text))
+            soup = " ".join(rng.choices(vocabulary, k=rng.randint(0, 24)))
+            for t in (soup, text, text[:j] + text[j + 1 :]):
+                got = parse_outcome(parse_formula, t)
+                assert got == parse_outcome(reference_parse, t), t
+                parsed += isinstance(got, Formula)
+        assert 34_000 < parsed < 90_000  # both outcomes are well exercised
 
     @pytest.mark.parametrize("size", [1, 2, 7, 40, 300])
     def test_battery_tables(self, size):
@@ -549,6 +682,9 @@ class TestDeepFormulas:
         else:
             assert text.startswith("EX " if head is ExistsNext else "AX ")
         assert text.lstrip("(EAX ").startswith("p")
+
+    def test_parse(self, deep):
+        assert parse_formula(print_formula(deep)) == deep
 
     def test_repr(self, deep):
         limit = sys.getrecursionlimit()
