@@ -16,7 +16,7 @@ world and drops a partial assignment at the first C1 or C2 check it
 decides (:func:`~ictl.model.c1_holds`, :func:`~ictl.model.c2_holds`), so
 it yields a brute-force filter's frames in the same order without
 building the rejected candidates; every frame with 4 worlds is within
-reach.  :func:`frame_batches` is the one exhaustive source: each valid
+reach.  :func:`frame_batches` is the labelled exhaustive source: each valid
 frame of a world count with its valuations, as tuples of masks in batches
 of at most :data:`~ictl.syntax.MAX_BATCH`, with each preorder's masks and
 valuations built once for all of its frames.  :func:`model_batches`
@@ -32,6 +32,23 @@ atoms bound to the generators' atom slots, and evaluates each batch in
 one :func:`~ictl.syntax.run_frame` call, with the engine's rules, read
 once per search, and one operator memo per frame.  Only a hit is built
 into a model.
+
+The search runs the engine on one frame per isomorphism class, after
+McKay ("Isomorph-free exhaustive generation", J. Algorithms 1998): the
+*leader*, the first frame of its class in :func:`enumerate_frames` order.
+A frame is a leader iff its preorder comes first in its class in
+:func:`enumerate_preorders` order and its ``succ`` tuple is the least, in
+``product`` order, of its images under that preorder's automorphisms.
+The other frames' valuations are counted unevaluated, and the frames of a
+preorder that is not first in its class are not even enumerated.  This
+relies on every engine rule commuting with renaming worlds, which holds
+for rules that read only the frame's relations: a frame then holds a
+countermodel iff every frame of its class does, so the first frame of the
+labelled stream that holds one is a leader, and the first hit, its
+position in the stream, its world and its model are those of a scan of
+every frame.  ``ictl compare`` keeps the labelled stream, because it
+compares the engine and the oracle on every labelled model, and a model
+skipped as the image of another is a comparison not made.
 """
 
 from __future__ import annotations
@@ -39,13 +56,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import islice, product
+from itertools import groupby, islice, permutations, product
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .checker import operators
 from .model import (
     BirelationalModel,
     _close_masks,
+    _permuted,
     _transpose,
     c1_holds,
     c2_holds,
@@ -69,6 +88,7 @@ from .syntax import (
     MAX_BATCH,
     Or,
     compile_formulas,
+    run,
     run_frame,
 )
 
@@ -218,21 +238,33 @@ def frame_batches(n: int, a: int) -> Iterator[Batch]:
     :func:`atom_names` slot.  A frame with more than
     :data:`~ictl.syntax.MAX_BATCH` valuations comes as several
     consecutive batches that carry the same frame object.
+    """
+    worlds = tuple(f"w{i}" for i in range(n))
+    for up, frames in groupby(enumerate_frames(n), itemgetter(0)):
+        ups = upward_closed_masks(up)
+        yield from _preorder_batches(worlds, up, ups, map(itemgetter(1), frames), a)
 
-    Each preorder's world index, ``down`` masks, upward-closed masks and,
-    when they fit in one batch, valuations are built once and shared by
-    all of its frames, which add only their ``succ`` and ``pred`` (see
+
+def _preorder_batches(
+    worlds: tuple[str, ...],
+    up: tuple[int, ...],
+    ups: list[int],
+    succs: Iterable[tuple[int, ...]],
+    a: int,
+) -> Iterator[Batch]:
+    """The batches of the frames ``(up, succ)``, ``succ`` in ``succs``, each
+    valuation a tuple of ``a`` of the upward-closed masks ``ups``.
+
+    The preorder's world index, ``down`` masks and, when they fit in one
+    batch, valuations are built once and shared by all of its frames, which
+    add only their ``succ`` and ``pred`` (see
     :meth:`~ictl.model.BirelationalModel.with_transitions`).  Larger
     valuation lists are streamed again for each frame, so memory stays
     bounded by the batch size.
     """
-    worlds = tuple(f"w{i}" for i in range(n))
-    base = None
-    for up, succ in enumerate_frames(n):
-        if base is None or up is not base.up:  # the first frame of a preorder
-            base = BirelationalModel(worlds, up, (0,) * n, {})
-            ups = upward_closed_masks(up)
-            shared = list(product(ups, repeat=a)) if len(ups) ** a <= MAX_BATCH else None
+    base = BirelationalModel(worlds, up, (0,) * len(up), {})
+    shared = list(product(ups, repeat=a)) if len(ups) ** a <= MAX_BATCH else None
+    for succ in succs:
         frame = base.with_transitions(succ)
         if shared is not None:
             yield frame, shared
@@ -328,12 +360,16 @@ def model_batches(
     for n in range(1, max_worlds + 1):
         yield from frame_batches(n, atoms)
     names = atom_names(atoms)
+    for m in _samples(max_worlds, atoms, samples, seed):
+        yield m, [tuple(m.val[x] for x in names)]
+
+
+def _samples(max_worlds: int, atoms: int, samples: int, seed: int) -> Iterator[BirelationalModel]:
     rng = random.Random(seed)
     for k in range(samples):
-        m = random_model(
+        yield random_model(
             GenParams(n_worlds=max_worlds + 1 + k % 3, n_atoms=atoms, seed=rng.getrandbits(63))
         )
-        yield m, [tuple(m.val[x] for x in names)]
 
 
 def model_stream(
@@ -441,6 +477,38 @@ def _search_atoms(atoms: Iterable[str], a: int) -> dict[str, str]:
     return {x: x if x in slots else next(free) for x in names}
 
 
+def _leader_frames(n: int) -> Iterator[tuple[tuple[int, ...], int, dict[tuple[int, ...], int]]]:
+    """Each preorder of ``enumerate_preorders(n)``, in order, with its
+    number of frames and its leader frames, each leader's ``succ`` mapped
+    to its position among the preorder's frames.
+
+    A leader is the first frame of its isomorphism class in
+    :func:`enumerate_frames` order.  Renaming worlds maps the frames of a
+    preorder one to one onto those of its image, so a frame is a leader
+    iff its preorder comes first in its class and its ``succ`` is the
+    least, in ``product`` order, of its images under that preorder's
+    automorphisms.  The frames of any other preorder are not enumerated:
+    there are as many as the first of its class has.
+    """
+    perms = list(permutations(range(n)))[1:]  # all but the identity
+    counts: dict[tuple[int, ...], int] = {}  # a class's least preorder: its frame count
+    for up in enumerate_preorders(n):
+        images = {perm: _permuted(up, perm) for perm in perms}
+        least = min([up, *images.values()])
+        if least in counts:
+            yield up, counts[least], {}
+            continue
+        automorphisms = [perm for perm, image in images.items() if image == up]
+        leaders: dict[tuple[int, ...], int] = {}
+        frames = 0
+        for succ in _transitions(up, _transpose(up)):
+            if all(_permuted(succ, perm) >= succ for perm in automorphisms):
+                leaders[succ] = frames
+            frames += 1
+        counts[least] = frames
+        yield up, frames, leaders
+
+
 def find_countermodel(
     f: Formula,
     max_worlds: int = 3,
@@ -454,34 +522,53 @@ def find_countermodel(
     worlds (complete, so the ``exhausted`` outcome is a proof of validity
     within the bounds), then up to ``budget`` random models of larger
     sizes.  ``f`` is compiled once, with its atoms bound to the
-    generators' atom slots, and evaluated one :func:`model_batches` batch
-    at a time with the engine rules bound when the search starts and a
-    memo per frame; only a hit is built into a model, renamed to ``f``'s
-    atoms, and ``models_checked`` is its position in the
-    :func:`model_stream`.  Hits are verified with the path oracle; a
-    verdict mismatch raises :class:`EngineDisagreementError` rather than
-    returning a bogus model.
+    generators' atom slots, and evaluated one batch at a time with the
+    engine rules bound when the search starts and a memo per frame; only
+    a hit is built into a model, renamed to ``f``'s atoms, and
+    ``models_checked`` is its position in the :func:`model_stream`.  Hits
+    are verified with the path oracle; a verdict mismatch raises
+    :class:`EngineDisagreementError` rather than returning a bogus model.
+
+    Of the exhaustive part, the engine runs only on the leader frames (see
+    :func:`_leader_frames` and the module docstring), and every other
+    frame's valuations are counted unevaluated.  As long as every rule
+    commutes with renaming worlds, the first hit, its position, world and
+    model are those of a scan of every frame.
     """
     program = compile_formulas([f])
     slots = _search_atoms(program.atom_slots, atoms)
     program = replace(program, atom_slots=[slots[a] for a in program.atom_slots])
     ops = operators()
     names = list(slots)
-    generated = atom_names(len(names))
+    a = len(names)
+    generated = atom_names(a)
     bounds = {"max_worlds": max_worlds, "atoms": names, "budget": budget, "seed": seed}
-    checked = 0
-    frame = column_batch = None
-    for batch_frame, batch in model_batches(max_worlds, len(names), budget, seed):
-        if batch_frame is not frame:
-            frame, memo = batch_frame, {}
-        if batch is not column_batch:  # the frames of one preorder share their batch
-            column_batch, columns = batch, dict(zip(generated, zip(*batch)))
-        top = run_frame(program, frame, columns, len(batch), ops, memo)[-1]
-        if top.count(frame.full) < len(batch):
-            i, mask = next((i, v) for i, v in enumerate(top) if v != frame.full)
-            m = frame.with_valuation(dict(zip(generated, batch[i])))
-            return _countermodel(f, m, mask, slots, checked + i + 1, bounds)
-        checked += len(batch)
+    checked = 0  # the models of the stream before the current preorder or sample
+    column_batch = None
+    for n in range(1, max_worlds + 1):
+        worlds = tuple(f"w{i}" for i in range(n))
+        for up, frames, leaders in _leader_frames(n):
+            ups = upward_closed_masks(up)
+            size = len(ups) ** a  # valuations per frame
+            frame = None
+            for batch_frame, batch in _preorder_batches(worlds, up, ups, leaders, a):
+                if batch_frame is not frame:
+                    frame, memo = batch_frame, {}
+                    position = checked + leaders[frame.succ] * size
+                if batch is not column_batch:  # the frames of one preorder share their batch
+                    column_batch, columns = batch, dict(zip(generated, zip(*batch)))
+                top = run_frame(program, frame, columns, len(batch), ops, memo)[-1]
+                if top.count(frame.full) < len(batch):
+                    i, mask = next((i, v) for i, v in enumerate(top) if v != frame.full)
+                    m = frame.with_valuation(dict(zip(generated, batch[i])))
+                    return _countermodel(f, m, mask, slots, position + i + 1, bounds)
+                position += len(batch)
+            checked += frames * size
+    for m in _samples(max_worlds, a, budget, seed):
+        checked += 1
+        top = run(program, m, ops, {})[-1]
+        if top != m.full:
+            return _countermodel(f, m, top, slots, checked, bounds)
     outcome = "exhausted" if budget <= 0 else "budget_exceeded"
     return SearchResult(outcome, None, None, checked, bounds)
 

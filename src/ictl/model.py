@@ -320,13 +320,17 @@ class BirelationalModel:
         up: tuple[int, ...],
         succ: tuple[int, ...],
         val: dict[str, int],
+        pred: tuple[int, ...] | None = None,
+        index: dict[str, int] | None = None,
     ):
+        """``pred`` and ``index``, when given, must be ``succ`` transposed
+        and the position of each world name; otherwise they are computed."""
         self.worlds = worlds
-        self.index = {w: i for i, w in enumerate(worlds)}
+        self.index = {w: i for i, w in enumerate(worlds)} if index is None else index
         self.up = up
         self.down = _transpose(up)
         self.succ = succ
-        self.pred = _transpose(succ)
+        self.pred = _transpose(succ) if pred is None else pred
         self.val = val
         self.atoms = tuple(sorted(val))
         self.n = len(worlds)
@@ -387,14 +391,17 @@ def build_model(
     n = len(names)
     up = _close_masks(n, [(index[a], index[b]) for a, b in preorder])
     succ = [0] * n
+    pred = [0] * n
     for a, b in transitions:
-        succ[index[a]] |= 1 << index[b]
+        i, j = index[a], index[b]
+        succ[i] |= 1 << j
+        pred[j] |= 1 << i
     val: dict[str, int] = {}
     for w, atoms in valuation.items():
         i = index[w]
         for a in atoms:
             val[a] = val.get(a, 0) | (1 << i)
-    return BirelationalModel(names, tuple(up), tuple(succ), val)
+    return BirelationalModel(names, tuple(up), tuple(succ), val, tuple(pred), index)
 
 
 def model_from_raw(raw: RawModel) -> BirelationalModel:
@@ -620,17 +627,26 @@ def is_isomorphic(a: BirelationalModel, b: BirelationalModel) -> bool:
     from itertools import permutations
 
     for perm in permutations(range(a.n)):
-        if all(
-            _apply_perm(a.up[i], perm) == b.up[perm[i]]
-            and _apply_perm(a.succ[i], perm) == b.succ[perm[i]]
-            for i in range(a.n)
-        ) and all(_apply_perm(a.val[p], perm) == b.val.get(p, 0) for p in a.atoms):
+        if (
+            _permuted(a.up, perm) == b.up
+            and _permuted(a.succ, perm) == b.succ
+            and all(_apply_perm(a.val[p], perm) == b.val.get(p, 0) for p in a.atoms)
+        ):
             return True
     return False
 
 
-def _apply_perm(mask: int, perm: tuple[int, ...]) -> int:
+def _apply_perm(mask: int, perm: Sequence[int]) -> int:
+    """``mask`` with world ``i`` renamed ``perm[i]``."""
     out = 0
     for i in iter_bits(mask):
         out |= 1 << perm[i]
     return out
+
+
+def _permuted(rel: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """The relation ``rel`` with world ``i`` renamed ``perm[i]``."""
+    out = [0] * len(rel)
+    for i, mask in enumerate(rel):
+        out[perm[i]] = _apply_perm(mask, perm)
+    return tuple(out)

@@ -1,8 +1,11 @@
 import time
-from itertools import islice, product
+from dataclasses import replace
+from itertools import islice, permutations, product
+from math import factorial
 
 import pytest
 
+import ictl.checker as checker
 import ictl.gen as gen
 from ictl.checker import valid_in_model
 from ictl.fixtures import FOUR_WORLD_DOC, four_world_model
@@ -25,11 +28,15 @@ from ictl.gen import (
 )
 from ictl.model import (
     BirelationalModel,
+    _apply_perm,
     is_isomorphic,
+    model_to_document,
+    pre_forall,
     validate_frame,
 )
-from ictl.syntax import atoms_of, parse_formula, subformulas
+from ictl.syntax import atoms_of, compile_formulas, parse_formula, run_frame, subformulas
 from helpers import seeded_rng
+from test_batch import PROVE_FORMULAS
 
 
 def naive_model_count(n: int, a: int) -> int:
@@ -382,6 +389,150 @@ class TestFindCountermodel:
         result = find_countermodel(f, max_worlds=3, atoms=1)
         assert result.found
         assert not oracle_check(result.model, result.world, f)
+
+
+def reference_find_countermodel(f, max_worlds=3, atoms=2, budget=0, seed=0):
+    """``find_countermodel`` as it was before it skipped non-leader frames:
+    the engine runs on every batch of the labelled ``model_batches``."""
+    program = compile_formulas([f])
+    slots = gen._search_atoms(program.atom_slots, atoms)
+    program = replace(program, atom_slots=[slots[a] for a in program.atom_slots])
+    ops = checker.operators()
+    names = list(slots)
+    generated = atom_names(len(names))
+    bounds = {"max_worlds": max_worlds, "atoms": names, "budget": budget, "seed": seed}
+    checked = 0
+    frame = column_batch = None
+    for batch_frame, batch in gen.model_batches(max_worlds, len(names), budget, seed):
+        if batch_frame is not frame:
+            frame, memo = batch_frame, {}
+        if batch is not column_batch:
+            column_batch, columns = batch, dict(zip(generated, zip(*batch)))
+        top = run_frame(program, frame, columns, len(batch), ops, memo)[-1]
+        if top.count(frame.full) < len(batch):
+            i, mask = next((i, v) for i, v in enumerate(top) if v != frame.full)
+            m = frame.with_valuation(dict(zip(generated, batch[i])))
+            return gen._countermodel(f, m, mask, slots, checked + i + 1, bounds)
+        checked += len(batch)
+    outcome = "exhausted" if budget <= 0 else "budget_exceeded"
+    return gen.SearchResult(outcome, None, None, checked, bounds)
+
+
+def summary(result):
+    model = None if result.model is None else model_to_document(result.model)
+    return result.outcome, result.models_checked, result.world, model
+
+
+def random_searches(count, seed):
+    """``count`` seeded (formula, max_worlds, atoms): formulas of height at
+    most 4 over 1 to 3 atoms, searched over 1 to 3 worlds."""
+    rng = seeded_rng(seed)
+    out = []
+    for _ in range(count):
+        names = atom_names(rng.randint(1, 3))
+        out.append((random_formula(rng, 4, names), rng.randint(1, 3), len(names)))
+    return out
+
+
+def leader_frames(n):
+    return [(up, succ) for up, _, leaders in gen._leader_frames(n) for succ in leaders]
+
+
+def automorphisms(up, succ):
+    """How many renamings of the worlds map the frame onto itself."""
+    n = len(up)
+    return sum(
+        all(
+            _apply_perm(up[i], p) == up[p[i]] and _apply_perm(succ[i], p) == succ[p[i]]
+            for i in range(n)
+        )
+        for p in permutations(range(n))
+    )
+
+
+class TestLeaderSearch:
+    """``find_countermodel`` runs the engine on one frame per isomorphism
+    class and reports what the labelled loop of
+    ``reference_find_countermodel`` reports."""
+
+    # criterion 03's four laws and criterion 04's two converses among them
+    @pytest.mark.parametrize("text", PROVE_FORMULAS)
+    def test_prove_formulas(self, text):
+        f = parse_formula(text)
+        assert summary(find_countermodel(f)) == summary(reference_find_countermodel(f))
+
+    def test_random_formulas(self):
+        outcomes = set()
+        for f, max_worlds, atoms in random_searches(300, 13):
+            got = summary(find_countermodel(f, max_worlds, atoms))
+            assert got == summary(reference_find_countermodel(f, max_worlds, atoms)), f
+            outcomes.add((got[0], max_worlds))
+        assert {("exhausted", 3), ("countermodel", 3)} <= outcomes
+
+    def test_random_formulas_non_persistent_rule(self, monkeypatch):
+        # AX read as the classical pre_forall: its outputs need not be
+        # upward closed, but it still commutes with renaming worlds.  The
+        # oracle disagrees with it, so hits are taken unconfirmed.
+        monkeypatch.setattr(checker, "forall_next_set", lambda m, a: pre_forall(m, a))
+        monkeypatch.setattr(gen, "oracle_check", lambda *args, **kwargs: False)
+        for f, max_worlds, atoms in random_searches(300, 13):
+            got = summary(find_countermodel(f, max_worlds, atoms))
+            assert got == summary(reference_find_countermodel(f, max_worlds, atoms)), f
+
+    @pytest.mark.parametrize("n, leaders, frames", [(1, 1, 1), (2, 17, 28), (3, 630, 3413)])
+    def test_orbit_stabiliser(self, n, leaders, frames):
+        found = leader_frames(n)
+        assert len(found) == leaders
+        assert sum(factorial(n) // automorphisms(up, succ) for up, succ in found) == frames
+
+        def invariant(up, succ):
+            return tuple(sorted(map(int.bit_count, up))), tuple(sorted(map(int.bit_count, succ)))
+
+        worlds = tuple(f"w{i}" for i in range(n))
+        by_invariant = {}
+        for up, succ in found:
+            leader = BirelationalModel(worlds, up, succ, {})
+            by_invariant.setdefault(invariant(up, succ), []).append(leader)
+        labelled = list(enumerate_frames(n))
+        assert len(labelled) == frames
+        for up, succ in labelled:
+            m = BirelationalModel(worlds, up, succ, {})
+            candidates = by_invariant[invariant(up, succ)]
+            assert sum(is_isomorphic(m, leader) for leader in candidates) == 1
+
+    @pytest.fixture
+    def frames_run(self, monkeypatch):
+        calls = []
+        original = gen.run_frame
+
+        def wrapper(program, frame, columns, size, ops, memo):
+            calls.append(frame)
+            return original(program, frame, columns, size, ops, memo)
+
+        monkeypatch.setattr(gen, "run_frame", wrapper)
+        return calls
+
+    def test_one_run_per_leader(self, frames_run):
+        result = find_countermodel(parse_formula(PROVE_FORMULAS[2]), max_worlds=3, atoms=2)
+        assert (result.outcome, result.models_checked) == ("exhausted", 82_582)
+        assert len(frames_run) == 1 + 17 + 630
+
+    @pytest.mark.parametrize("name", TestFrameEnumerator.FOUR_WORLD_PREORDERS)
+    def test_one_four_world_preorder(self, monkeypatch, frames_run, name):
+        up = TestFrameEnumerator.FOUR_WORLD_PREORDERS[name]
+        monkeypatch.setattr(gen, "enumerate_preorders", lambda n: (up,) if n == 4 else ())
+        frames = brute_force_frames(4, [up])
+        result = find_countermodel(parse_formula("p -> p"), max_worlds=4, atoms=1)
+        models = len(frames) * len(upward_closed_masks(up))
+        assert (result.outcome, result.models_checked) == ("exhausted", models)
+        # one run per orbit of the preorder's automorphisms on its frames
+        group = automorphisms(up, up)
+        assert sum(group // automorphisms(up, frame.succ) for frame in frames_run) == len(frames)
+        for text in ["EX p -> AX p", "p -> AX p", "EX EX p -> EX p"]:
+            f = parse_formula(text)
+            got = summary(find_countermodel(f, max_worlds=4, atoms=1))
+            assert got == summary(reference_find_countermodel(f, 4, 1))
+            assert got[0] == "countermodel"
 
 
 class TestFormulaGeneration:
