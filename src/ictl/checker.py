@@ -39,20 +39,29 @@ A[f R g] = interior(~(the same with "some")).
 :func:`lfp` (also :func:`gfp`) iterates an equation as written and is
 kept for checking the kernel against the definition.
 
-A temporal verdict comes with path evidence read off these sets.  A
-true existential is shown by a path from the world: a step into [[f]]
-for EX f, a shortest path for E[f U g], and for E[f R g] a path through
-[[g]] to an f-and-g world or a cycle inside [[g]].  A false universal is
-shown by duality: it fails at w exactly where its classical dual holds
-at some P-greater world, with ~AX f = EX ~f, ~A[f U g] = E[~f R ~g] and
-~A[f R g] = E[~f U ~g], so its evidence is the dual's path at the lowest
-such world, the counterexample shape of Clarke, Jha, Lu and Veith.  So
-evidence exists for every verdict it explains.
+A temporal verdict comes with path evidence read off these sets: a
+lasso built by one walk, which moves at step i to the lowest successor
+inside layer i, then to the lowest successor inside a region to stay in,
+and closes at the first world it revisits.  EX f has the one layer [[f]].
+The layers of E[f U g] are the backward frontiers from [[g]] through
+[[f]] & ~[[g]], grown as by :func:`_backward`: layer k holds the worlds
+whose shortest path to [[g]] takes k steps, so taking the lowest world
+that can still finish a shortest path walks the lexicographically least
+one.  E[f R g] walks so through [[g]] & ~[[f]] to [[f]] & [[g]], or else
+inside E[false R g], the greatest fixpoint of Z = [[g]] n pre_exists(Z),
+whose every world has a successor in it, so a cycle closes inside [[g]].
+A false universal is shown by duality: it fails at w exactly where its
+classical dual holds at some P-greater world, with ~AX f = EX ~f,
+~A[f U g] = E[~f R ~g] and ~A[f R g] = E[~f U ~g], so its evidence is the
+dual's walk from the lowest such world, the counterexample shape of
+Clarke, Jha, Lu and Veith.  So evidence exists for every verdict it
+explains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable
 
 from .model import (
@@ -250,93 +259,46 @@ def check(
 _DUALS = {_AX: _EX, _AU: _ER, _AR: _EU}
 
 
-def _extend_to_lasso(m: BirelationalModel, path: list[int]) -> Lasso:
-    """Walk an R-path, then extend it greedily (lowest successor first),
-    and close the lasso at the first world it revisits, so no world repeats."""
-    seq: list[int] = []
+def _layers(m: BirelationalModel, w: int, region: int, goal: int) -> list[int] | None:
+    """The layers of a walk from ``w`` along a shortest path through
+    ``region`` to ``goal``, or None if there is no such path: the backward
+    frontiers from ``goal``, as :func:`_backward` grows them, up to the one
+    holding ``w``, nearest ``w`` first."""
+    layers = [goal]
+    seen = goal
+    while not seen >> w & 1:
+        last = image(m.pred, layers[-1]) & region & ~seen
+        if not last:
+            return None
+        layers.append(last)
+        seen |= last
+    return layers[-2::-1]
+
+
+def _walk(m: BirelationalModel, w: int, steps: list[int], stay: int) -> Lasso:
+    """The lasso from ``w`` that moves at step i to the lowest successor
+    inside ``steps[i]``, then to the lowest successor inside ``stay``, and
+    closes at the first world it revisits."""
     pos: dict[int, int] = {}
-    w = path[0]
+    todo = chain(steps, repeat(stay))
     while w not in pos:
-        pos[w] = len(seq)
-        seq.append(w)
-        w = path[len(seq)] if len(seq) < len(path) else (m.succ[w] & -m.succ[w]).bit_length() - 1
-    return Lasso(tuple(seq[:pos[w]]), tuple(seq[pos[w]:]))
-
-
-def _shortest_path_in(
-    m: BirelationalModel, start: int, region: int, goal: int
-) -> list[int] | None:
-    """BFS path from ``start`` staying in ``region`` until hitting ``goal``.
-
-    ``start`` itself may satisfy the goal; intermediate hops must lie in
-    ``region``.  Returns the world sequence, or None.
-    """
-    if goal >> start & 1:
-        return [start]
-    if not (region >> start & 1):
-        return None
-    parent = {start: -1}
-    frontier = [start]
-    while frontier:
-        nxt_frontier = []
-        for x in frontier:
-            for y in iter_bits(m.succ[x]):
-                if y in parent:
-                    continue
-                parent[y] = x
-                if goal >> y & 1:
-                    seq = [y]
-                    while seq[-1] != start:
-                        seq.append(parent[seq[-1]])
-                    return seq[::-1]
-                if region >> y & 1:
-                    nxt_frontier.append(y)
-        frontier = nxt_frontier
-    return None
-
-
-def _cycle_lasso_in(m: BirelationalModel, start: int, region: int) -> Lasso | None:
-    """DFS for a lasso from ``start`` staying entirely inside ``region``."""
-    if not (region >> start & 1):
-        return None
-    stack = [start]
-    on_stack = {start: 0}
-    iters = [iter_bits(m.succ[start] & region)]
-    dead = 0
-    while stack:
-        y = next(iters[-1], -1)
-        if y < 0:
-            x = stack.pop()
-            del on_stack[x]
-            dead |= 1 << x
-            iters.pop()
-            continue
-        if y in on_stack:
-            k = on_stack[y]
-            return Lasso(tuple(stack[:k]), tuple(stack[k:]))
-        if dead >> y & 1:
-            continue
-        on_stack[y] = len(stack)
-        stack.append(y)
-        iters.append(iter_bits(m.succ[y] & region))
-    return None
+        pos[w] = len(pos)
+        nxt = m.succ[w] & next(todo)
+        w = (nxt & -nxt).bit_length() - 1
+    seq = tuple(pos)
+    return Lasso(seq[:pos[w]], seq[pos[w]:])
 
 
 def _path_witness(m: BirelationalModel, kind: int, w: int, a: int, b: int) -> Lasso:
     """A lasso from ``w`` along which the existential ``kind`` holds
     classically over the masks ``a`` (and ``b``); ``w`` must satisfy it."""
     if kind == _EX:
-        return _extend_to_lasso(m, [w, next(iter_bits(m.succ[w] & a))])
-    if kind == _EU:
-        path = _shortest_path_in(m, w, a & ~b, b)
-    else:  # E[a R b]: through b to an a-and-b world, or a cycle inside b
-        path = _shortest_path_in(m, w, b & ~a, a & b)
-        if path is None:
-            lasso = _cycle_lasso_in(m, w, b)
-            assert lasso is not None
-            return lasso
-    assert path is not None
-    return _extend_to_lasso(m, path)
+        return _walk(m, w, [a], m.full)
+    steps = _layers(m, w, a & ~b, b) if kind == _EU else _layers(m, w, b & ~a, a & b)
+    if steps is None:  # E[a R b] with no a-and-b world ahead: a cycle in E[false R b]
+        assert kind == _ER
+        return _walk(m, w, [], complement(m, _backward(m, complement(m, b), m.full, True)))
+    return _walk(m, w, steps, m.full)
 
 
 def _universal_failure(
@@ -349,11 +311,11 @@ def _universal_failure(
     explained was not this module's (a stubbed rule).
     """
     na, nb = complement(m, a), complement(m, b)
-    if kind == _AX:  # dual EX ~a, tested on the up-set only
-        x = next((x for x in iter_bits(m.up[w]) if m.succ[x] & na), None)
+    if kind == _AX:  # AX a has the dual EX ~a
+        dual = image(m.pred, na)
     else:  # A[a U b] has the dual E[~a R ~b], A[a R b] has E[~a U ~b]
         dual = ~_backward(m, b, a, True) if kind == _AU else _backward(m, nb, na, False)
-        x = next(iter_bits(m.up[w] & dual), None)
+    x = next(iter_bits(m.up[w] & dual), None)
     if x is None:
         return None
     return UniversalFailure(m.worlds[x], _path_witness(m, _DUALS[kind], x, na, nb))

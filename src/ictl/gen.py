@@ -56,8 +56,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import groupby, islice, permutations, product
-from operator import itemgetter
+from itertools import islice, permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .checker import operators
@@ -240,9 +239,9 @@ def frame_batches(n: int, a: int) -> Iterator[Batch]:
     consecutive batches that carry the same frame object.
     """
     worlds = tuple(f"w{i}" for i in range(n))
-    for up, frames in groupby(enumerate_frames(n), itemgetter(0)):
+    for up in enumerate_preorders(n):
         ups = upward_closed_masks(up)
-        yield from _preorder_batches(worlds, up, ups, map(itemgetter(1), frames), a)
+        yield from _preorder_batches(worlds, up, ups, _transitions(up, _transpose(up)), a)
 
 
 def _preorder_batches(

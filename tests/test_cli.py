@@ -201,30 +201,52 @@ def test_check_output_pinned(capsys, monkeypatch, four_world_path, verdict, engi
     assert out == (human if fmt == "human" else json.dumps(doc, indent=2) + "\n")
 
 
-# (formula, world) -> (exit code, human witness line, JSON witness), as the
-# fixpoint engine reports them, one per evidence shape
+# world "b" comes before "a" in index order, so E[p U q] at s has two
+# shortest paths, s b g and s a g, of which the walk takes the lower; and
+# E[q R p] at s has no path to a p-and-q world, so its witness is a cycle
+# inside p, which leaves b aside because b's only successor g drops p
+TIE_DOC = {
+    "worlds": ["s", "b", "a", "g"],
+    "preorder": [],
+    "transitions": [["s", "b"], ["s", "a"], ["b", "g"], ["a", "g"], ["a", "s"], ["g", "g"]],
+    "valuation": {"s": ["p"], "b": ["p"], "a": ["p"], "g": ["q"]},
+}
+
+# (formula, world) -> (model, exit code, human witness line, JSON witness),
+# as the fixpoint engine reports them, one per evidence shape
 EVIDENCE_PINS = {
-    ("EX q", "w1"): (0, "path w1 (w2)*", WITNESS_PATH),
-    ("E[p R q]", "w2"): (0, "path (w2)*", {"type": "path", "prefix": [], "cycle": ["w2"]}),
-    ("EX p", "v1"): (0, "path (v1)*", {"type": "path", "prefix": [], "cycle": ["v1"]}),
+    ("EX q", "w1"): (FOUR_WORLD_DOC, 0, "path w1 (w2)*", WITNESS_PATH),
+    ("E[p R q]", "w2"): (
+        FOUR_WORLD_DOC, 0, "path (w2)*", {"type": "path", "prefix": [], "cycle": ["w2"]},
+    ),
+    ("EX p", "v1"): (
+        FOUR_WORLD_DOC, 0, "path (v1)*", {"type": "path", "prefix": [], "cycle": ["v1"]},
+    ),
     ("AX q", "w1"): (
-        1, "fails above at v1: v1 (v2)*",
+        FOUR_WORLD_DOC, 1, "fails above at v1: v1 (v2)*",
         {"type": "universal-failure", "world": "v1", "lasso": {"prefix": ["v1"], "cycle": ["v2"]}},
     ),
-    ("A[p U EX p]", "w1"): (1, "fails above at w1: w1 (w2)*", WITNESS_FAILS_ABOVE),
+    ("A[p U EX p]", "w1"): (FOUR_WORLD_DOC, 1, "fails above at w1: w1 (w2)*", WITNESS_FAILS_ABOVE),
     ("A[q U ~q]", "v1"): (
-        1, "fails above at v1: (v1)*",
+        FOUR_WORLD_DOC, 1, "fails above at v1: (v1)*",
         {"type": "universal-failure", "world": "v1", "lasso": {"prefix": [], "cycle": ["v1"]}},
+    ),
+    ("E[p U q]", "s"): (
+        TIE_DOC, 0, "path s b (g)*", {"type": "path", "prefix": ["s", "b"], "cycle": ["g"]},
+    ),
+    ("E[q R p]", "s"): (
+        TIE_DOC, 0, "path (s a)*", {"type": "path", "prefix": [], "cycle": ["s", "a"]},
     ),
 }
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])
 @pytest.mark.parametrize("formula,world", list(EVIDENCE_PINS))
-def test_evidence_output_pinned(capsys, four_world_path, formula, world, fmt):
-    code, line, witness = EVIDENCE_PINS[(formula, world)]
+def test_evidence_output_pinned(capsys, tmp_path, formula, world, fmt):
+    model_doc, code, line, witness = EVIDENCE_PINS[(formula, world)]
     verdict = UNSAT if code else SAT
-    got, out, err = run(capsys, "--format", fmt, "check", four_world_path, world, formula)
+    path = write_model(tmp_path, model_doc)
+    got, out, err = run(capsys, "--format", fmt, "check", path, world, formula)
     doc = {
         "command": "check",
         "verdict": verdict,

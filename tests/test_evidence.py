@@ -1,15 +1,20 @@
-"""``check``'s evidence against a reference copy of its former per-operator
-witness searches.
+"""``check``'s evidence against a reference copy of its former witness
+searches.
 
 ``reference_check`` keeps, as they were before the universal failures were
 read off their classical duals, the six per-operator witness functions
-and the ``match`` that chose among them.  It shares only the three graph
-searches (``_extend_to_lasso``, ``_shortest_path_in``, ``_cycle_lasso_in``)
-and the worklist ``_backward`` with the engine.
+and the ``match`` that chose among them, and, as they were before every
+witness became one walk down the backward layers, the three graph
+searches they call: a breadth-first shortest path (``_shortest_path_in``),
+a depth-first lasso inside a region (``_cycle_lasso_in``) and the greedy
+extension of a path to a lasso (``_extend_to_lasso``).  It shares only the
+worklist ``_backward`` with the engine.  ``TestWalkMatchesSearches``
+compares the walk with those searches directly on random graphs.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import islice
 
 import pytest
@@ -20,15 +25,14 @@ from ictl.checker import (
     CheckOutcome,
     UniversalFailure,
     _backward,
-    _cycle_lasso_in,
-    _extend_to_lasso,
-    _shortest_path_in,
+    _layers,
+    _walk,
     check,
     denote,
 )
 from ictl.fixtures import four_world_model
 from ictl.gen import GenParams, enumerate_models, product_frame, random_model
-from ictl.model import build_model, complement, iter_bits
+from ictl.model import BirelationalModel, build_model, complement, iter_bits
 from ictl.oracle import Lasso, enumerate_lassos, oracle_denotation
 from ictl.syntax import (
     ExistsNext,
@@ -41,6 +45,79 @@ from ictl.syntax import (
     compile_formulas,
     parse_formula,
 )
+
+
+def _extend_to_lasso(m: BirelationalModel, path: list[int]) -> Lasso:
+    """Walk an R-path, then extend it greedily (lowest successor first),
+    and close the lasso at the first world it revisits, so no world repeats."""
+    seq: list[int] = []
+    pos: dict[int, int] = {}
+    w = path[0]
+    while w not in pos:
+        pos[w] = len(seq)
+        seq.append(w)
+        w = path[len(seq)] if len(seq) < len(path) else (m.succ[w] & -m.succ[w]).bit_length() - 1
+    return Lasso(tuple(seq[:pos[w]]), tuple(seq[pos[w]:]))
+
+
+def _shortest_path_in(
+    m: BirelationalModel, start: int, region: int, goal: int
+) -> list[int] | None:
+    """BFS path from ``start`` staying in ``region`` until hitting ``goal``.
+
+    ``start`` itself may satisfy the goal; intermediate hops must lie in
+    ``region``.  Returns the world sequence, or None.
+    """
+    if goal >> start & 1:
+        return [start]
+    if not (region >> start & 1):
+        return None
+    parent = {start: -1}
+    frontier = [start]
+    while frontier:
+        nxt_frontier = []
+        for x in frontier:
+            for y in iter_bits(m.succ[x]):
+                if y in parent:
+                    continue
+                parent[y] = x
+                if goal >> y & 1:
+                    seq = [y]
+                    while seq[-1] != start:
+                        seq.append(parent[seq[-1]])
+                    return seq[::-1]
+                if region >> y & 1:
+                    nxt_frontier.append(y)
+        frontier = nxt_frontier
+    return None
+
+
+def _cycle_lasso_in(m: BirelationalModel, start: int, region: int) -> Lasso | None:
+    """DFS for a lasso from ``start`` staying entirely inside ``region``."""
+    if not (region >> start & 1):
+        return None
+    stack = [start]
+    on_stack = {start: 0}
+    iters = [iter_bits(m.succ[start] & region)]
+    dead = 0
+    while stack:
+        y = next(iters[-1], -1)
+        if y < 0:
+            x = stack.pop()
+            del on_stack[x]
+            dead |= 1 << x
+            iters.pop()
+            continue
+        if y in on_stack:
+            k = on_stack[y]
+            return Lasso(tuple(stack[:k]), tuple(stack[k:]))
+        if dead >> y & 1:
+            continue
+        on_stack[y] = len(stack)
+        stack.append(y)
+        iters.append(iter_bits(m.succ[y] & region))
+    return None
+
 
 # every temporal top operator, over atoms and over compound children
 FORMULAS = [
@@ -254,3 +331,55 @@ def test_stubbed_universal_rule_changes_only_the_verdict(monkeypatch):
     monkeypatch.setattr(checker, "forall_next_set", lambda m, a: 0)
     for world in m.worlds:
         assert check(m, world, parse_formula("AX true")) == CheckOutcome(False, None)
+
+
+def random_graph(rng: random.Random, n: int) -> BirelationalModel:
+    """A serial transition graph on ``n`` worlds under the discrete preorder:
+    sparse (one or two successors per world), dense (each edge with
+    probability 0.7) or in between, with or without self-loops."""
+    density = rng.choice([0.0, 0.15, 0.4, 0.7])
+    loops = rng.random() < 0.5
+    succ = []
+    for i in range(n):
+        s = sum(1 << j for j in range(n) if (loops or j != i) and rng.random() < density)
+        while not s:  # serial: at least one successor, a self-loop only where allowed
+            j = rng.randrange(n)
+            if loops or j != i or n == 1:
+                s = 1 << j
+        if density == 0.0 and rng.random() < 0.3:
+            s |= 1 << rng.randrange(n)
+        succ.append(s)
+    worlds = tuple(f"w{i}" for i in range(n))
+    return BirelationalModel(worlds, tuple(1 << i for i in range(n)), tuple(succ), {})
+
+
+def random_mask(rng: random.Random, n: int) -> int:
+    """A world set that is empty, full or each world with a random probability."""
+    p = rng.choice([0.0, 0.2, 0.5, 0.8, 1.0])
+    return sum(1 << i for i in range(n) if rng.random() < p)
+
+
+class TestWalkMatchesSearches:
+    def test_random_graphs(self):
+        rng = random.Random(15)
+        found = {"path": 0, "no path": 0, "cycle": 0, "no cycle": 0}
+        for _ in range(20_000):
+            n = rng.randint(1, 9)
+            g = random_graph(rng, n)
+            region, goal = random_mask(rng, n), random_mask(rng, n)
+            cycle_region = complement(g, _backward(g, complement(g, region), g.full, True))
+            for w in range(n):
+                path = _shortest_path_in(g, w, region, goal)
+                steps = _layers(g, w, region, goal)
+                assert (steps is None) == (path is None), (g.succ, w, region, goal)
+                if path is not None:
+                    want = _extend_to_lasso(g, path)
+                    assert _walk(g, w, steps, g.full) == want, (g.succ, w, region, goal)
+                lasso = _cycle_lasso_in(g, w, region)
+                assert (lasso is None) == (not cycle_region >> w & 1), (g.succ, w, region)
+                if lasso is not None:
+                    assert _walk(g, w, [], cycle_region) == lasso, (g.succ, w, region)
+                found["no path" if path is None else "path"] += 1
+                found["no cycle" if lasso is None else "cycle"] += 1
+        # every case is met many times over
+        assert min(found.values()) > 10_000, found
