@@ -289,16 +289,20 @@ def _walk(m: BirelationalModel, w: int, steps: list[int], stay: int) -> Lasso:
     return Lasso(seq[:pos[w]], seq[pos[w]:])
 
 
-def _path_witness(m: BirelationalModel, kind: int, w: int, a: int, b: int) -> Lasso:
+def _path_witness(m: BirelationalModel, kind: int, w: int, a: int, b: int) -> Lasso | None:
     """A lasso from ``w`` along which the existential ``kind`` holds
-    classically over the masks ``a`` (and ``b``); ``w`` must satisfy it."""
+    classically over the masks ``a`` (and ``b``), or None if the masks give
+    no such path, that is if the verdict being explained was not this
+    module's (a stubbed rule)."""
     if kind == _EX:
-        return _walk(m, w, [a], m.full)
+        return _walk(m, w, [a], m.full) if m.succ[w] & a else None
     steps = _layers(m, w, a & ~b, b) if kind == _EU else _layers(m, w, b & ~a, a & b)
-    if steps is None:  # E[a R b] with no a-and-b world ahead: a cycle in E[false R b]
-        assert kind == _ER
-        return _walk(m, w, [], complement(m, _backward(m, complement(m, b), m.full, True)))
-    return _walk(m, w, steps, m.full)
+    if steps is not None:
+        return _walk(m, w, steps, m.full)
+    if kind == _ER:  # no a-and-b world ahead: a cycle in E[false R b]
+        stay = complement(m, _backward(m, complement(m, b), m.full, True))
+        return _walk(m, w, [], stay) if stay >> w & 1 else None
+    return None
 
 
 def _universal_failure(

@@ -16,39 +16,43 @@ world and drops a partial assignment at the first C1 or C2 check it
 decides (:func:`~ictl.model.c1_holds`, :func:`~ictl.model.c2_holds`), so
 it yields a brute-force filter's frames in the same order without
 building the rejected candidates; every frame with 4 worlds is within
-reach.  :func:`frame_batches` is the labelled exhaustive source: each valid
-frame of a world count with its valuations, as tuples of masks in batches
-of at most :data:`~ictl.syntax.MAX_BATCH`, with each preorder's masks and
-valuations built once for all of its frames.  :func:`model_batches`
-chains those batches over world counts and appends seeded random models
-as batches of one; :func:`enumerate_models` and :func:`model_stream` are
-the same streams one model at a time, and ``ictl compare`` scans the
-latter.
+reach.
+
+Every exhaustive stream is one sweep, :func:`_sweep`: for n = 1, 2, ...
+each preorder's valid frames, each with its valuations as tuples of masks
+in batches of at most :data:`~ictl.syntax.MAX_BATCH`, then seeded random
+models as batches of one.  Each batch carries its *position*, the index
+of its first model in the labelled stream, and the sweep ends with the
+stream's length and no frame.  :func:`model_batches`,
+:func:`frame_batches`, :func:`model_stream` and :func:`enumerate_models`
+filter or flatten it; ``ictl compare`` scans :func:`model_stream`.
 
 :func:`find_countermodel` looks for a model and world refuting a formula,
 double-checking any hit against the path oracle before returning it.  It
 compiles the formula once into a :class:`~ictl.syntax.Program`, with its
-atoms bound to the generators' atom slots, and evaluates each batch in
-one :func:`~ictl.syntax.run_frame` call, with the engine's rules, read
-once per search, and one operator memo per frame.  Only a hit is built
-into a model.
+atoms bound to the generators' atom slots, and evaluates each batch of
+the sweep in one :func:`~ictl.syntax.run_frame` call, with the engine's
+rules, read once per search, and one operator memo per frame.  Only a hit
+is built into a model.
 
-The search runs the engine on one frame per isomorphism class, after
-McKay ("Isomorph-free exhaustive generation", J. Algorithms 1998): the
-*leader*, the first frame of its class in :func:`enumerate_frames` order.
-A frame is a leader iff its preorder comes first in its class in
-:func:`enumerate_preorders` order and its ``succ`` tuple is the least, in
-``product`` order, of its images under that preorder's automorphisms.
-The other frames' valuations are counted unevaluated, and the frames of a
-preorder that is not first in its class are not even enumerated.  This
-relies on every engine rule commuting with renaming worlds, which holds
-for rules that read only the frame's relations: a frame then holds a
-countermodel iff every frame of its class does, so the first frame of the
-labelled stream that holds one is a leader, and the first hit, its
-position in the stream, its world and its model are those of a scan of
-every frame.  ``ictl compare`` keeps the labelled stream, because it
-compares the engine and the oracle on every labelled model, and a model
-skipped as the image of another is a comparison not made.
+The search sweeps one frame per isomorphism class, after McKay
+("Isomorph-free exhaustive generation", J. Algorithms 1998): the
+*leader*, the first frame of its class in :func:`enumerate_frames` order,
+at its labelled position.  A frame is a leader iff its preorder comes
+first in its class in :func:`enumerate_preorders` order and its ``succ``
+tuple is the least, in ``product`` order, of its images under that
+preorder's automorphisms; with the identity as the only renaming every
+frame passes, which is the labelled sweep.  The other frames' valuations
+are counted unevaluated, and the frames of a preorder that is not first
+in its class are not even enumerated.  This relies on every engine rule
+commuting with renaming worlds, which holds for rules that read only the
+frame's relations: a frame then holds a countermodel iff every frame of
+its class does, so the first frame of the labelled stream that holds one
+is a leader, and the first hit, its position in the stream, its world and
+its model are those of a scan of every frame.  ``ictl compare`` keeps the
+labelled sweep, because it compares the engine and the oracle on every
+labelled model, and a model skipped as the image of another is a
+comparison not made.
 """
 
 from __future__ import annotations
@@ -87,7 +91,6 @@ from .syntax import (
     MAX_BATCH,
     Or,
     compile_formulas,
-    run,
     run_frame,
 )
 
@@ -221,8 +224,8 @@ def enumerate_frames(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]
     failed C1 or C2 check, so the candidates a brute-force filter would
     test are never built.  ``n = 0`` gives the one empty frame.
     """
-    for up in enumerate_preorders(n):
-        for succ in _transitions(up, _transpose(up)):
+    for up, _, frames in _leader_frames(n, leaders=False):
+        for succ in frames:
             yield up, succ
 
 
@@ -231,64 +234,26 @@ Batch = tuple[BirelationalModel, list[tuple[int, ...]]]
 
 def frame_batches(n: int, a: int) -> Iterator[Batch]:
     """Every valid frame with ``n`` worlds, paired with its valuations of
-    ``a`` atoms, deterministically.
+    ``a`` atoms, deterministically: the :func:`model_batches` of ``n``
+    worlds.
 
     A valuation is a tuple of upward-closed masks, one per
     :func:`atom_names` slot.  A frame with more than
     :data:`~ictl.syntax.MAX_BATCH` valuations comes as several
     consecutive batches that carry the same frame object.
     """
-    worlds = tuple(f"w{i}" for i in range(n))
-    for up in enumerate_preorders(n):
-        ups = upward_closed_masks(up)
-        yield from _preorder_batches(worlds, up, ups, _transitions(up, _transpose(up)), a)
-
-
-def _preorder_batches(
-    worlds: tuple[str, ...],
-    up: tuple[int, ...],
-    ups: list[int],
-    succs: Iterable[tuple[int, ...]],
-    a: int,
-) -> Iterator[Batch]:
-    """The batches of the frames ``(up, succ)``, ``succ`` in ``succs``, each
-    valuation a tuple of ``a`` of the upward-closed masks ``ups``.
-
-    The preorder's world index, ``down`` masks and, when they fit in one
-    batch, valuations are built once and shared by all of its frames, which
-    add only their ``succ`` and ``pred`` (see
-    :meth:`~ictl.model.BirelationalModel.with_transitions`).  Larger
-    valuation lists are streamed again for each frame, so memory stays
-    bounded by the batch size.
-    """
-    base = BirelationalModel(worlds, up, (0,) * len(up), {})
-    shared = list(product(ups, repeat=a)) if len(ups) ** a <= MAX_BATCH else None
-    for succ in succs:
-        frame = base.with_transitions(succ)
-        if shared is not None:
-            yield frame, shared
-            continue
-        assignments = product(ups, repeat=a)
-        while batch := list(islice(assignments, MAX_BATCH)):
-            yield frame, batch
-
-
-def _models(batches: Iterable[Batch], a: int) -> Iterator[BirelationalModel]:
-    names = atom_names(a)
-    for frame, batch in batches:
-        for assignment in batch:
-            yield frame.with_valuation(dict(zip(names, assignment)))
+    yield from ((frame, batch) for frame, batch in model_batches(n, a) if frame.n == n)
 
 
 def enumerate_models(n: int, a: int) -> Iterator[BirelationalModel]:
     """Every valid model with ``n`` worlds and ``a`` atoms, deterministically:
-    the :func:`frame_batches` one valuation at a time.
+    the :func:`model_stream` of ``n`` worlds.
 
     Worlds are named ``w0 .. w{n-1}``; atoms come from :func:`atom_names`.
     The models of one frame share its masks (see
     :meth:`~ictl.model.BirelationalModel.with_valuation`).
     """
-    yield from _models(frame_batches(n, a), a)
+    yield from (m for m in model_stream(n, a) if m.n == n)
 
 
 # ---------------------------------------------------------------------------
@@ -349,26 +314,60 @@ def random_model(params: GenParams) -> BirelationalModel:
     return BirelationalModel(worlds, tuple(up), tuple(succ), val)
 
 
+def _sweep(
+    max_worlds: int, a: int, samples: int, seed: int, leaders: bool = False
+) -> Iterator[tuple[int, BirelationalModel | None, list[tuple[int, ...]]]]:
+    """``(position, frame, valuations)`` per batch of the labelled stream,
+    ``position`` being the index of the batch's first model, then
+    ``(total, None, [])``; with ``leaders``, only the leader frames'
+    batches (see the module docstring).
+
+    The ``k``-th of the ``samples`` random models has
+    ``max_worlds + 1 + k % 3`` worlds and its seed drawn from
+    ``random.Random(seed)``.  A preorder's world index, ``down`` masks and,
+    when they fit in one batch, valuations are built once and shared by
+    all of its frames (see
+    :meth:`~ictl.model.BirelationalModel.with_transitions`); larger
+    valuation lists are streamed again for each frame, so memory stays
+    bounded by the batch size.
+    """
+    position = 0
+    for n in range(1, max_worlds + 1):
+        worlds = tuple(f"w{i}" for i in range(n))
+        for up, frames, leader_frames in _leader_frames(n, leaders):
+            ups = upward_closed_masks(up)
+            size = len(ups) ** a  # valuations per frame
+            base = BirelationalModel(worlds, up, (0,) * n, {})
+            shared = list(product(ups, repeat=a)) if size <= MAX_BATCH else None
+            for succ, k in leader_frames.items():
+                frame = base.with_transitions(succ)
+                offset = position + k * size
+                if shared is not None:
+                    yield offset, frame, shared
+                    continue
+                assignments = product(ups, repeat=a)
+                while batch := list(islice(assignments, MAX_BATCH)):
+                    yield offset, frame, batch
+                    offset += len(batch)
+            position += frames * size
+    rng = random.Random(seed)
+    names = atom_names(a)
+    for k in range(samples):
+        m = random_model(
+            GenParams(n_worlds=max_worlds + 1 + k % 3, n_atoms=a, seed=rng.getrandbits(63))
+        )
+        yield position + k, m, [tuple(m.val[x] for x in names)]
+    yield position + samples, None, []
+
+
 def model_batches(
     max_worlds: int, atoms: int, samples: int = 0, seed: int = 0
 ) -> Iterator[Batch]:
-    """The :func:`frame_batches` of every world count up to ``max_worlds``,
-    then ``samples`` random models, each a batch of one: the ``k``-th has
-    ``max_worlds + 1 + k % 3`` worlds and its seed drawn from
-    ``random.Random(seed)``."""
-    for n in range(1, max_worlds + 1):
-        yield from frame_batches(n, atoms)
-    names = atom_names(atoms)
-    for m in _samples(max_worlds, atoms, samples, seed):
-        yield m, [tuple(m.val[x] for x in names)]
-
-
-def _samples(max_worlds: int, atoms: int, samples: int, seed: int) -> Iterator[BirelationalModel]:
-    rng = random.Random(seed)
-    for k in range(samples):
-        yield random_model(
-            GenParams(n_worlds=max_worlds + 1 + k % 3, n_atoms=atoms, seed=rng.getrandbits(63))
-        )
+    """The batches of every valid frame with up to ``max_worlds`` worlds,
+    then of ``samples`` random models: the labelled :func:`_sweep`."""
+    for _, frame, batch in _sweep(max_worlds, atoms, samples, seed):
+        if batch:
+            yield frame, batch
 
 
 def model_stream(
@@ -376,7 +375,10 @@ def model_stream(
 ) -> Iterator[BirelationalModel]:
     """The :func:`model_batches` one model at a time: every valid model with
     up to ``max_worlds`` worlds, then ``samples`` random models."""
-    yield from _models(model_batches(max_worlds, atoms, samples, seed), atoms)
+    names = atom_names(atoms)
+    for frame, batch in model_batches(max_worlds, atoms, samples, seed):
+        for assignment in batch:
+            yield frame.with_valuation(dict(zip(names, assignment)))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +478,9 @@ def _search_atoms(atoms: Iterable[str], a: int) -> dict[str, str]:
     return {x: x if x in slots else next(free) for x in names}
 
 
-def _leader_frames(n: int) -> Iterator[tuple[tuple[int, ...], int, dict[tuple[int, ...], int]]]:
+def _leader_frames(
+    n: int, leaders: bool = True
+) -> Iterator[tuple[tuple[int, ...], int, dict[tuple[int, ...], int]]]:
     """Each preorder of ``enumerate_preorders(n)``, in order, with its
     number of frames and its leader frames, each leader's ``succ`` mapped
     to its position among the preorder's frames.
@@ -487,9 +491,10 @@ def _leader_frames(n: int) -> Iterator[tuple[tuple[int, ...], int, dict[tuple[in
     iff its preorder comes first in its class and its ``succ`` is the
     least, in ``product`` order, of its images under that preorder's
     automorphisms.  The frames of any other preorder are not enumerated:
-    there are as many as the first of its class has.
+    there are as many as the first of its class has.  Without ``leaders``
+    the only renaming is the identity, so every frame is its own leader.
     """
-    perms = list(permutations(range(n)))[1:]  # all but the identity
+    perms = list(permutations(range(n)))[1:] if leaders else []  # all but the identity
     counts: dict[tuple[int, ...], int] = {}  # a class's least preorder: its frame count
     for up in enumerate_preorders(n):
         images = {perm: _permuted(up, perm) for perm in perms}
@@ -498,14 +503,14 @@ def _leader_frames(n: int) -> Iterator[tuple[tuple[int, ...], int, dict[tuple[in
             yield up, counts[least], {}
             continue
         automorphisms = [perm for perm, image in images.items() if image == up]
-        leaders: dict[tuple[int, ...], int] = {}
+        found: dict[tuple[int, ...], int] = {}
         frames = 0
         for succ in _transitions(up, _transpose(up)):
-            if all(_permuted(succ, perm) >= succ for perm in automorphisms):
-                leaders[succ] = frames
+            if not automorphisms or all(_permuted(succ, perm) >= succ for perm in automorphisms):
+                found[succ] = frames
             frames += 1
         counts[least] = frames
-        yield up, frames, leaders
+        yield up, frames, found
 
 
 def find_countermodel(
@@ -517,59 +522,47 @@ def find_countermodel(
 ) -> SearchResult:
     """Search for a model and world where ``f`` fails.
 
-    Scans the :func:`model_stream`: every valid model up to ``max_worlds``
-    worlds (complete, so the ``exhausted`` outcome is a proof of validity
-    within the bounds), then up to ``budget`` random models of larger
-    sizes.  ``f`` is compiled once, with its atoms bound to the
-    generators' atom slots, and evaluated one batch at a time with the
-    engine rules bound when the search starts and a memo per frame; only
-    a hit is built into a model, renamed to ``f``'s atoms, and
-    ``models_checked`` is its position in the :func:`model_stream`.  Hits
-    are verified with the path oracle; a verdict mismatch raises
-    :class:`EngineDisagreementError` rather than returning a bogus model.
+    Scans the stream of :func:`model_stream`: every valid model up to
+    ``max_worlds`` worlds (complete, so the ``exhausted`` outcome is a
+    proof of validity within the bounds), then up to ``budget`` random
+    models of larger sizes.  ``f`` is compiled once, with its atoms bound
+    to the generators' atom slots, and each batch of the leader
+    :func:`_sweep` is evaluated in one :func:`~ictl.syntax.run_frame` call,
+    with the engine rules bound when the search starts and a memo per
+    frame.  Only a hit is built into a model, renamed to ``f``'s atoms;
+    ``models_checked`` is its position in the stream plus one, or the
+    sweep's total when there is none.  Hits are verified with the path
+    oracle; a verdict mismatch raises :class:`EngineDisagreementError`
+    rather than returning a bogus model.
 
-    Of the exhaustive part, the engine runs only on the leader frames (see
-    :func:`_leader_frames` and the module docstring), and every other
-    frame's valuations are counted unevaluated.  As long as every rule
-    commutes with renaming worlds, the first hit, its position, world and
-    model are those of a scan of every frame.
+    The exhaustive part runs the engine only on the leader frames (see
+    :func:`_leader_frames` and the module docstring); every other frame's
+    valuations are counted unevaluated.  As long as every rule commutes
+    with renaming worlds, the first hit, its position, world and model are
+    those of a scan of every frame.
     """
     program = compile_formulas([f])
     slots = _search_atoms(program.atom_slots, atoms)
     program = replace(program, atom_slots=[slots[a] for a in program.atom_slots])
     ops = operators()
     names = list(slots)
-    a = len(names)
-    generated = atom_names(a)
+    generated = atom_names(len(names))
     bounds = {"max_worlds": max_worlds, "atoms": names, "budget": budget, "seed": seed}
-    checked = 0  # the models of the stream before the current preorder or sample
-    column_batch = None
-    for n in range(1, max_worlds + 1):
-        worlds = tuple(f"w{i}" for i in range(n))
-        for up, frames, leaders in _leader_frames(n):
-            ups = upward_closed_masks(up)
-            size = len(ups) ** a  # valuations per frame
-            frame = None
-            for batch_frame, batch in _preorder_batches(worlds, up, ups, leaders, a):
-                if batch_frame is not frame:
-                    frame, memo = batch_frame, {}
-                    position = checked + leaders[frame.succ] * size
-                if batch is not column_batch:  # the frames of one preorder share their batch
-                    column_batch, columns = batch, dict(zip(generated, zip(*batch)))
-                top = run_frame(program, frame, columns, len(batch), ops, memo)[-1]
-                if top.count(frame.full) < len(batch):
-                    i, mask = next((i, v) for i, v in enumerate(top) if v != frame.full)
-                    m = frame.with_valuation(dict(zip(generated, batch[i])))
-                    return _countermodel(f, m, mask, slots, position + i + 1, bounds)
-                position += len(batch)
-            checked += frames * size
-    for m in _samples(max_worlds, a, budget, seed):
-        checked += 1
-        top = run(program, m, ops, {})[-1]
-        if top != m.full:
-            return _countermodel(f, m, top, slots, checked, bounds)
+    frame = column_batch = None
+    for position, batch_frame, batch in _sweep(max_worlds, len(names), budget, seed, leaders=True):
+        if not batch:  # the end: position is the stream's length
+            break
+        if batch_frame is not frame:
+            frame, memo = batch_frame, {}
+        if batch is not column_batch:  # the frames of one preorder share their batch
+            column_batch, columns = batch, dict(zip(generated, zip(*batch)))
+        top = run_frame(program, frame, columns, len(batch), ops, memo)[-1]
+        if top.count(frame.full) < len(batch):
+            i, mask = next((i, v) for i, v in enumerate(top) if v != frame.full)
+            m = frame.with_valuation(dict(zip(generated, batch[i])))
+            return _countermodel(f, m, mask, slots, position + i + 1, bounds)
     outcome = "exhausted" if budget <= 0 else "budget_exceeded"
-    return SearchResult(outcome, None, None, checked, bounds)
+    return SearchResult(outcome, None, None, position, bounds)
 
 
 def _countermodel(

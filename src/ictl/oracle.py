@@ -16,15 +16,18 @@ Verdicts for until/release path properties at a world ``w``:
 * every path satisfies ``f R g``: ``w`` is a g-world, and no walk through
   (g and not-f)-worlds from it can step into a non-g world.
 
-The universal connectives additionally quantify over the up-set of ``w``;
-``classical_*`` run the same analyses with the preorder ignored (up-set
-collapsed to the world itself, implication read materially).
+The universal connectives additionally quantify over the up-set of
+``w``, and implication holds where the material implication holds on the
+whole up-set.
 
-Both semantics are kind-indexed operator tables for
-:func:`~ictl.syntax.run`: :func:`operators` holds the ``*_worlds``
-functions below, and :func:`oracle_denotation` and
-:func:`classical_denotation` compile a formula and run it with their
-table.  Nothing here uses the fixpoint engine.
+:func:`operators` is the kind-indexed table of the ``*_worlds`` functions
+below for :func:`~ictl.syntax.run`, and :func:`oracle_denotation`
+compiles a formula and runs it with that table.  Classical CTL needs no
+table of its own: over the identity preorder every up-set is the world
+itself, so implication is material and the universal operators quantify
+only over paths from the world, and :func:`classical_denotation` is the
+oracle on the model with its preorder replaced by equality.  Nothing here
+uses the fixpoint engine.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .model import BirelationalModel, ensure_valid, iter_bits
+from .model import BirelationalModel, ensure_valid, iter_bits, with_identity_preorder
 from .syntax import _IMP, Formula, compile_formulas, run
 
 __all__ = [
@@ -273,29 +276,11 @@ def _successors_within(m: BirelationalModel, w: int, a: int, _b: int) -> bool:
     return not (m.succ[w] & ~a & m.full)
 
 
-# The classical rules: the preorder ignored.
-
-def _material(m: BirelationalModel, a: int, b: int) -> int:
-    return (m.full & ~a) | b
-
-
-def _all_next(m: BirelationalModel, a: int) -> int:
-    return _worlds_where(m, _successors_within, a, 0)
-
-
-def _all_until(m: BirelationalModel, a: int, b: int) -> int:
-    return _worlds_where(m, _all_paths_until, a, b)
-
-
-def _all_release(m: BirelationalModel, a: int, b: int) -> int:
-    return _worlds_where(m, _all_paths_release, a, b)
-
-
-# The intuitionistic rules: the universal connectives hold where the
-# classical rule holds on the whole up-set.
+# The universal connectives hold where the plain CTL rule holds on the
+# whole up-set.
 
 def implication_worlds(m: BirelationalModel, a: int, b: int) -> int:
-    return _above(m, _material(m, a, b))
+    return _above(m, (m.full & ~a) | b)
 
 
 def exists_next_worlds(m: BirelationalModel, a: int) -> int:
@@ -303,7 +288,7 @@ def exists_next_worlds(m: BirelationalModel, a: int) -> int:
 
 
 def forall_next_worlds(m: BirelationalModel, a: int) -> int:
-    return _above(m, _all_next(m, a))
+    return _above(m, _worlds_where(m, _successors_within, a, 0))
 
 
 def exists_until_worlds(m: BirelationalModel, a: int, b: int) -> int:
@@ -315,11 +300,11 @@ def exists_release_worlds(m: BirelationalModel, a: int, b: int) -> int:
 
 
 def forall_until_worlds(m: BirelationalModel, a: int, b: int) -> int:
-    return _above(m, _all_until(m, a, b))
+    return _above(m, _worlds_where(m, _all_paths_until, a, b))
 
 
 def forall_release_worlds(m: BirelationalModel, a: int, b: int) -> int:
-    return _above(m, _all_release(m, a, b))
+    return _above(m, _worlds_where(m, _all_paths_release, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +325,6 @@ def operators() -> tuple[Callable | None, ...]:
     )
 
 
-def _denotation(m: BirelationalModel, f: Formula, ops) -> dict[Formula, int]:
-    program = compile_formulas([f])
-    return dict(zip(program.formulas, run(program, m, ops, {})))
-
-
 def oracle_denotation(
     m: BirelationalModel, f: Formula, *, validate: bool = True
 ) -> dict[Formula, int]:
@@ -352,7 +332,8 @@ def oracle_denotation(
     order."""
     if validate:
         ensure_valid(m)
-    return _denotation(m, f, operators())
+    program = compile_formulas([f])
+    return dict(zip(program.formulas, run(program, m, operators(), {})))
 
 
 def oracle_check(
@@ -362,24 +343,10 @@ def oracle_check(
     return bool(oracle_denotation(m, f, validate=validate)[f] >> w & 1)
 
 
-def _classical_operators() -> tuple[Callable | None, ...]:
-    """Plain CTL rules indexed by node kind: no up-set quantification."""
-    return (None,) * _IMP + (
-        _material,
-        exists_next_worlds,
-        _all_next,
-        exists_until_worlds,
-        exists_release_worlds,
-        _all_until,
-        _all_release,
-    )
-
-
 def classical_denotation(m: BirelationalModel, f: Formula) -> dict[Formula, int]:
-    """Plain CTL semantics over R alone: the preorder is read as equality,
-    so implication is material and universal operators quantify only over
-    paths from the world itself."""
-    return _denotation(m, f, _classical_operators())
+    """Plain CTL semantics over R alone: the oracle on ``m`` with the
+    preorder read as equality."""
+    return oracle_denotation(with_identity_preorder(m), f, validate=False)
 
 
 def classical_check(m: BirelationalModel, world: str, f: Formula) -> bool:

@@ -8,6 +8,8 @@ from ictl.fixtures import FOUR_WORLD_DOC, four_world_model
 SLOW = {
     "tests/test_acceptance.py::test_criterion_08_exhaustive_engine_oracle_equivalence",
     "tests/test_gen.py::TestFrameEnumerator::test_every_four_world_frame",
+    "tests/test_syntax.py::TestReference::test_parser_matches_reference",
+    "tests/test_evidence.py::TestEvidenceMatchesReference::test_2000_world_cycle",
 }
 
 

@@ -33,7 +33,15 @@ from ictl.checker import (
 from ictl.fixtures import four_world_model
 from ictl.gen import GenParams, enumerate_models, product_frame, random_model
 from ictl.model import BirelationalModel, build_model, complement, iter_bits
-from ictl.oracle import Lasso, enumerate_lassos, oracle_denotation
+from ictl.cli import main
+from ictl.oracle import (
+    Lasso,
+    enumerate_lassos,
+    lasso_is_path,
+    lasso_satisfies_release,
+    lasso_satisfies_until,
+    oracle_denotation,
+)
 from ictl.syntax import (
     ExistsNext,
     ExistsRelease,
@@ -331,6 +339,48 @@ def test_stubbed_universal_rule_changes_only_the_verdict(monkeypatch):
     monkeypatch.setattr(checker, "forall_next_set", lambda m, a: 0)
     for world in m.worlds:
         assert check(m, world, parse_formula("AX true")) == CheckOutcome(False, None)
+
+
+
+EXISTENTIAL_STUBS = {
+    "exists_next_set": ["EX p", "EX q", "EX false"],
+    "exists_until_set": ["E[p U q]", "E[q U p]", "E[p U false]"],
+    "exists_release_set": ["E[p R q]", "E[q R p]", "E[false R p]"],
+}
+
+
+@pytest.mark.parametrize("rule", EXISTENTIAL_STUBS)
+def test_stubbed_existential_rule_gives_a_path_or_none(monkeypatch, capsys, four_world_path, rule):
+    # a wrong rule that holds everywhere: where the child masks give no
+    # path, the verdict comes without evidence, and any evidence given is
+    # a real path over those masks
+    m = four_world_model()
+    monkeypatch.setattr(checker, rule, lambda m, *masks: m.full)
+    for text in EXISTENTIAL_STUBS[rule]:
+        f = parse_formula(text)
+        program = compile_formulas([f])
+        sets = checker.evaluate(m, program)
+        kind, l, r = program.nodes[-1]
+        a, b = sets[l], sets[r] if r >= 0 else 0
+        for w, world in enumerate(m.worlds):
+            # ends with a verdict, 4 where the oracle disagrees, never a traceback
+            for fmt in ("human", "json"):
+                assert main(["--format", fmt, "check", four_world_path, world, text]) in (0, 4)
+            outcome = check(m, world, f)
+            assert outcome.satisfied, (text, world)
+            lasso = outcome.witness
+            if lasso is None:
+                continue
+            assert lasso_is_path(m, lasso) and lasso.states()[0] == w, (text, world)
+            if isinstance(f, ExistsNext):
+                assert (lasso.states() + lasso.cycle)[1] in iter_bits(a), (text, world)
+            elif isinstance(f, ExistsUntil):
+                assert lasso_satisfies_until(m, lasso, a, b), (text, world)
+            else:
+                assert lasso_satisfies_release(m, lasso, a, b), (text, world)
+        # v2 loops on itself, where p and q are false: no path to show
+        assert check(m, "v2", f) == CheckOutcome(True, None)
+    capsys.readouterr()
 
 
 def random_graph(rng: random.Random, n: int) -> BirelationalModel:

@@ -535,6 +535,52 @@ class TestLeaderSearch:
             assert got[0] == "countermodel"
 
 
+def sweep(max_worlds, atoms, samples, leaders):
+    """``gen._sweep`` with each frame as its relations and valuation."""
+    return [
+        (position, frame and (frame.up, frame.succ, frame.val), batch)
+        for position, frame, batch in gen._sweep(max_worlds, atoms, samples, 11, leaders)
+    ]
+
+
+class TestSweep:
+    """``gen._sweep``, labelled and by leaders, against the frames and
+    valuations counted one by one."""
+
+    @pytest.mark.parametrize("samples", [0, 5])
+    @pytest.mark.parametrize("atoms", [0, 1, 2])
+    @pytest.mark.parametrize("max_worlds", [0, 1, 2, 3])
+    def test_leaders_are_the_labelled_leader_batches(self, max_worlds, atoms, samples):
+        labelled = sweep(max_worlds, atoms, samples, leaders=False)
+        models = sum(
+            len(upward_closed_masks(up)) ** atoms
+            for n in range(1, max_worlds + 1)
+            for up, _ in enumerate_frames(n)
+        )
+        position = 0
+        for at, _, batch in labelled:
+            assert at == position  # each batch starts where the last ended
+            position += len(batch)
+        assert labelled[-1] == (models + samples, None, [])
+        assert [len(b) for _, m, b in labelled if m and len(m[0]) > max_worlds] == [1] * samples
+        leaders = {(up, succ) for n in range(1, max_worlds + 1) for up, succ in leader_frames(n)}
+        expected = [
+            (at, m, batch)
+            for at, m, batch in labelled
+            if m is None or len(m[0]) > max_worlds or (m[0], m[1]) in leaders
+        ]
+        assert sweep(max_worlds, atoms, samples, leaders=True) == expected
+
+    @pytest.mark.parametrize("leaders", [False, True])
+    def test_large_frame_splits_at_its_offsets(self, leaders):
+        batches = list(gen._sweep(1, 14, 0, 0, leaders))
+        assert [(at, len(batch)) for at, _, batch in batches] == [
+            (0, 4096), (4096, 4096), (8192, 4096), (12288, 4096), (16384, 0)
+        ]
+        assert batches[0][1] is batches[3][1]
+        assert sorted(v for _, _, batch in batches for v in batch) == list(product((0, 1), repeat=14))
+
+
 class TestFormulaGeneration:
     def test_random_formula_deterministic(self):
         a = random_formula(seeded_rng(1), 4, ["p", "q"])

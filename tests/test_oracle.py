@@ -1,4 +1,5 @@
 import inspect
+from typing import Callable
 
 import pytest
 
@@ -6,14 +7,21 @@ import ictl.checker as checker
 import ictl.model as model
 import ictl.oracle as oracle
 from ictl.checker import check, denote
-from ictl.gen import GenParams, random_model
+from ictl.gen import GenParams, random_formula, random_model
 from ictl.model import BirelationalModel, build_model, iter_bits, with_identity_preorder
 from ictl.oracle import (
     Lasso,
     PathLiftError,
+    _all_paths_release,
+    _all_paths_until,
+    _successors_within,
+    _worlds_where,
     classical_check,
     classical_denotation,
     enumerate_lassos,
+    exists_next_worlds,
+    exists_release_worlds,
+    exists_until_worlds,
     lasso_is_path,
     lasso_satisfies_release,
     lasso_satisfies_until,
@@ -21,7 +29,8 @@ from ictl.oracle import (
     oracle_check,
     oracle_denotation,
 )
-from ictl.syntax import parse_formula, subformulas
+from ictl.syntax import _IMP, compile_formulas, parse_formula, run, subformulas
+from helpers import seeded_rng
 
 
 class TestOracleVerdicts:
@@ -192,6 +201,38 @@ class TestLiftPath:
             lift_path(m, "b", ["a", "c"])
 
 
+# Plain CTL rules with the preorder ignored: the reference for
+# ``classical_denotation``, which runs the oracle over the identity preorder.
+
+def _material(m: BirelationalModel, a: int, b: int) -> int:
+    return (m.full & ~a) | b
+
+
+def _all_next(m: BirelationalModel, a: int) -> int:
+    return _worlds_where(m, _successors_within, a, 0)
+
+
+def _all_until(m: BirelationalModel, a: int, b: int) -> int:
+    return _worlds_where(m, _all_paths_until, a, b)
+
+
+def _all_release(m: BirelationalModel, a: int, b: int) -> int:
+    return _worlds_where(m, _all_paths_release, a, b)
+
+
+def _classical_operators() -> tuple[Callable | None, ...]:
+    """Plain CTL rules indexed by node kind: no up-set quantification."""
+    return (None,) * _IMP + (
+        _material,
+        exists_next_worlds,
+        _all_next,
+        exists_until_worlds,
+        exists_release_worlds,
+        _all_until,
+        _all_release,
+    )
+
+
 class TestClassical:
     def test_forall_until_from_base(self, four_world):
         # the single transition chain reaches q at step one
@@ -219,6 +260,24 @@ class TestClassical:
                 orc = oracle_denotation(ident, f)
                 for g in subformulas(f):
                     assert cls[g] == orc[g]
+
+    def test_matches_the_classical_rule_table(self):
+        rng = seeded_rng(16)
+        preordered = 0  # models whose preorder is not the identity
+        for _ in range(2000):
+            params = GenParams(
+                n_worlds=rng.randint(1, 6),
+                n_atoms=2,
+                seed=rng.getrandbits(32),
+                edge_density=rng.choice([0.1, 0.3, 0.6, 0.9]),
+            )
+            m = random_model(params)
+            f = random_formula(rng, 4, ["p", "q"])
+            program = compile_formulas([f])
+            want = dict(zip(program.formulas, run(program, m, _classical_operators(), {})))
+            assert classical_denotation(m, f) == want, (f, m)
+            preordered += m.up != with_identity_preorder(m).up
+        assert preordered >= 500
 
     def test_coincides_with_engine_on_identity_preorder(self):
         formulas = [parse_formula(t) for t in ["A[p R q]", "E[p U q] -> q", "~AX~p -> EX p"]]
