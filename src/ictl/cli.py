@@ -181,12 +181,13 @@ def _cmd_countermodel(args) -> tuple[int, dict, list[str]]:
     result = find_countermodel(
         f, max_worlds=args.max_worlds, atoms=args.atoms, budget=args.budget, seed=args.seed
     )
+    report = [{"models_checked": result.models_checked, "bounds": result.bounds}]
     if result.found:
         model_doc = model_to_document(result.model)
         doc = {
             "verdict": "countermodel",
             "witness": {"world": result.world, "model": model_doc},
-            "report": [{"models_checked": result.models_checked, "bounds": result.bounds}],
+            "report": report,
         }
         lines = [
             f"countermodel found after {result.models_checked} models; "
@@ -194,11 +195,7 @@ def _cmd_countermodel(args) -> tuple[int, dict, list[str]]:
             json.dumps(model_doc, indent=2),
         ]
         return 0, doc, lines
-    doc = {
-        "verdict": result.outcome.replace("_", "-"),
-        "witness": None,
-        "report": [{"models_checked": result.models_checked, "bounds": result.bounds}],
-    }
+    doc = {"verdict": result.outcome.replace("_", "-"), "witness": None, "report": report}
     if result.outcome == "exhausted":
         lines = [
             f"exhausted: no countermodel among all {result.models_checked} valid models "

@@ -8,8 +8,9 @@ Three ways to produce valid models:
 * :func:`random_model` samples one: random DAG closed to a preorder,
   serial transitions at a target density, rejection plus edge-adding
   repair for the commutation conditions, valuation sampled upward-closed;
-* :func:`product_frame` builds one correct by construction from a stage
-  poset and an ordinary serial transition graph.
+* :func:`product_frame` builds one from a stage order and a transition
+  graph, and rejects it, naming the rule, when the graph is not serial or
+  the valuation not monotone (C1 and C2 hold on every product).
 
 :func:`enumerate_frames` assigns each preorder's transitions world by
 world and drops a partial assignment at the first C1 or C2 check it
@@ -29,11 +30,11 @@ filter or flatten it; ``ictl compare`` scans :func:`model_stream`.
 
 :func:`find_countermodel` looks for a model and world refuting a formula,
 double-checking any hit against the path oracle before returning it.  It
-compiles the formula once into a :class:`~ictl.syntax.Program`, with its
-atoms bound to the generators' atom slots, and evaluates each batch of
-the sweep in one :func:`~ictl.syntax.run_frame` call, with the engine's
-rules, read once per search, and one operator memo per frame.  Only a hit
-is built into a model.
+compiles the formula once into a :class:`~ictl.syntax.Program` and
+evaluates each batch of the sweep in one :func:`~ictl.syntax.run_frame`
+call, with the batch's columns keyed by the formula's own atoms, the
+engine's rules read once per search, and one operator memo per frame.
+Only a hit is built into a model, over the formula's atoms.
 
 The search sweeps one frame per isomorphism class, after McKay
 ("Isomorph-free exhaustive generation", J. Algorithms 1998): the
@@ -58,7 +59,7 @@ comparison not made.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, permutations, product
 from typing import Iterable, Iterator, Sequence
@@ -69,11 +70,13 @@ from .model import (
     _close_masks,
     _permuted,
     _transpose,
+    build_model,
     c1_holds,
     c2_holds,
     frame_violations,
     image,
     iter_bits,
+    validate_frame,
 )
 from .oracle import oracle_check
 from .syntax import (
@@ -391,55 +394,24 @@ def product_frame(
     state_transitions: Iterable[tuple[str, str]],
     valuation: dict[tuple[str, str], Iterable[str]],
 ) -> BirelationalModel:
-    """Product of a stage poset with a serial transition graph.
+    """Product of a stage order with a transition graph, validated.
 
     Worlds are pairs ``{stage}.{state}``; (k, s) P (k', s') iff k <= k'
-    and s = s'; (k, s) R (k', s') iff k = k' and s -> s'.  Both
-    commutation conditions hold by construction.  The valuation must be
-    monotone along the stage order for each fixed state.
+    in the closure of ``stage_order`` and s = s'; (k, s) R (k', s') iff
+    k = k' and s -> s'.  C1 and C2 hold on every product, so of the rules
+    of :func:`~ictl.model.validate_frame` only ``serial`` (a state with no
+    transition) and ``monotone-valuation`` can fail, ``serial`` first;
+    the ``ValueError`` names the rule of the first breach.
     """
-    k_index = {k: i for i, k in enumerate(stages)}
-    s_index = {s: i for i, s in enumerate(states)}
-    nk, ns = len(stages), len(states)
-    k_up = _close_masks(nk, [(k_index[a], k_index[b]) for a, b in stage_order])
-    s_succ = [0] * ns
-    for a, b in state_transitions:
-        s_succ[s_index[a]] |= 1 << s_index[b]
-    for s in states:
-        if not s_succ[s_index[s]]:
-            raise ValueError(f"state {s!r} has no transition; the graph must be serial")
-
-    atoms_at: dict[tuple[int, int], set[str]] = {}
-    for (k, s), atoms in valuation.items():
-        atoms_at[(k_index[k], s_index[s])] = set(atoms)
-    for ki in range(nk):
-        for kj in iter_bits(k_up[ki]):
-            for si in range(ns):
-                lower = atoms_at.get((ki, si), set())
-                upper = atoms_at.get((kj, si), set())
-                if not lower <= upper:
-                    raise ValueError(
-                        f"valuation not monotone: {sorted(lower - upper)} true at "
-                        f"({stages[ki]}, {states[si]}) but not at ({stages[kj]}, {states[si]})"
-                    )
-
-    def widx(ki: int, si: int) -> int:
-        return ki * ns + si
-
-    worlds = tuple(f"{k}.{s}" for k in stages for s in states)
-    up = [0] * (nk * ns)
-    succ = [0] * (nk * ns)
-    val: dict[str, int] = {}
-    for ki in range(nk):
-        for si in range(ns):
-            w = widx(ki, si)
-            for kj in iter_bits(k_up[ki]):
-                up[w] |= 1 << widx(kj, si)
-            for sj in iter_bits(s_succ[si]):
-                succ[w] |= 1 << widx(ki, sj)
-            for atom in atoms_at.get((ki, si), ()):
-                val[atom] = val.get(atom, 0) | (1 << w)
-    return BirelationalModel(worlds, tuple(up), tuple(succ), val)
+    m = build_model(
+        [f"{k}.{s}" for k in stages for s in states],
+        [(f"{a}.{s}", f"{b}.{s}") for a, b in stage_order for s in states],
+        [(f"{k}.{a}", f"{k}.{b}") for a, b in state_transitions for k in stages],
+        {f"{k}.{s}": atoms for (k, s), atoms in valuation.items()},
+    )
+    for v in validate_frame(m, max_witnesses=1).violations:
+        raise ValueError(f"{v.rule}: {v.message}")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +497,13 @@ def find_countermodel(
     Scans the stream of :func:`model_stream`: every valid model up to
     ``max_worlds`` worlds (complete, so the ``exhausted`` outcome is a
     proof of validity within the bounds), then up to ``budget`` random
-    models of larger sizes.  ``f`` is compiled once, with its atoms bound
-    to the generators' atom slots, and each batch of the leader
-    :func:`_sweep` is evaluated in one :func:`~ictl.syntax.run_frame` call,
-    with the engine rules bound when the search starts and a memo per
-    frame.  Only a hit is built into a model, renamed to ``f``'s atoms;
+    models of larger sizes.  ``f`` is compiled once, and each batch of the
+    leader :func:`_sweep` is evaluated in one
+    :func:`~ictl.syntax.run_frame` call, with the engine rules bound when
+    the search starts and a memo per frame.  The batch's columns are keyed
+    by ``f``'s own atoms: ``columns[a]`` is the column of the slot that
+    :func:`_search_atoms` gives ``a``.  Only a hit is built into a model,
+    directly over ``f``'s atoms, so it is never renamed;
     ``models_checked`` is its position in the stream plus one, or the
     sweep's total when there is none.  Hits are verified with the path
     oracle; a verdict mismatch raises :class:`EngineDisagreementError`
@@ -543,10 +517,10 @@ def find_countermodel(
     """
     program = compile_formulas([f])
     slots = _search_atoms(program.atom_slots, atoms)
-    program = replace(program, atom_slots=[slots[a] for a in program.atom_slots])
     ops = operators()
     names = list(slots)
     generated = atom_names(len(names))
+    place = [generated.index(slots[a]) for a in names]  # each atom's slot in a valuation
     bounds = {"max_worlds": max_worlds, "atoms": names, "budget": budget, "seed": seed}
     frame = column_batch = None
     for position, batch_frame, batch in _sweep(max_worlds, len(names), budget, seed, leaders=True):
@@ -555,26 +529,21 @@ def find_countermodel(
         if batch_frame is not frame:
             frame, memo = batch_frame, {}
         if batch is not column_batch:  # the frames of one preorder share their batch
-            column_batch, columns = batch, dict(zip(generated, zip(*batch)))
+            column_batch, by_slot = batch, list(zip(*batch))
+            columns = {a: by_slot[j] for a, j in zip(names, place)}
         top = run_frame(program, frame, columns, len(batch), ops, memo)[-1]
         if top.count(frame.full) < len(batch):
             i, mask = next((i, v) for i, v in enumerate(top) if v != frame.full)
-            m = frame.with_valuation(dict(zip(generated, batch[i])))
-            return _countermodel(f, m, mask, slots, position + i + 1, bounds)
+            m = frame.with_valuation({a: batch[i][j] for a, j in zip(names, place)})
+            return _countermodel(f, m, mask, position + i + 1, bounds)
     outcome = "exhausted" if budget <= 0 else "budget_exceeded"
     return SearchResult(outcome, None, None, position, bounds)
 
 
 def _countermodel(
-    f: Formula,
-    m: BirelationalModel,
-    mask: int,
-    slots: dict[str, str],
-    checked: int,
-    bounds: dict,
+    f: Formula, m: BirelationalModel, mask: int, checked: int, bounds: dict
 ) -> SearchResult:
-    """The hit ``m`` renamed to ``f``'s atoms, once the oracle confirms it."""
-    m = m.with_valuation({a: m.val[s] for a, s in slots.items()})
+    """The hit ``m``, refuting ``f`` outside ``mask``, once the oracle confirms it."""
     world = m.worlds[next(iter_bits(m.full & ~mask))]
     if oracle_check(m, world, f, validate=False):
         raise EngineDisagreementError(
@@ -590,16 +559,10 @@ _UNARY_OPS = (ExistsNext, ForallNext)
 _BINARY_OPS = (And, Or, Implies, ExistsUntil, ExistsRelease, ForallUntil, ForallRelease)
 
 
-def random_formula(
-    rng: random.Random,
-    max_height: int,
-    atoms: Sequence[str],
-    allow_bottom: bool = True,
-) -> Formula:
-    """Random AST of height at most ``max_height`` (a lone leaf has height 1)."""
-    leaves: list[Formula] = [Atom(a) for a in atoms]
-    if allow_bottom:
-        leaves.append(BOTTOM)
+def random_formula(rng: random.Random, max_height: int, atoms: Sequence[str]) -> Formula:
+    """Random AST of height at most ``max_height`` (a lone leaf has height 1)
+    over the leaves ``atoms`` and ``false``."""
+    leaves: list[Formula] = [*map(Atom, atoms), BOTTOM]
 
     def go(h: int) -> Formula:
         if h <= 1 or rng.random() < 0.25:

@@ -351,5 +351,4 @@ def classical_denotation(m: BirelationalModel, f: Formula) -> dict[Formula, int]
 
 def classical_check(m: BirelationalModel, world: str, f: Formula) -> bool:
     """Standard CTL verdict over the transition graph, ignoring the preorder."""
-    w = m.world_index(world)
-    return bool(classical_denotation(m, f)[f] >> w & 1)
+    return oracle_check(with_identity_preorder(m), world, f, validate=False)

@@ -29,7 +29,9 @@ from ictl.gen import (
 from ictl.model import (
     BirelationalModel,
     _apply_perm,
+    close_preorder,
     is_isomorphic,
+    iter_bits,
     model_to_document,
     pre_forall,
     validate_frame,
@@ -300,6 +302,68 @@ class TestProductFrame:
             assert m.n == nk * ns
             assert validate_frame(m).ok
 
+    def test_matches_its_definition(self):
+        """2,000 seeded products: P is the closed stage order paired with
+        equal states, R steps within one stage, each atom holds where it is
+        given, and a rejection names ``serial`` when some state has no
+        successor and ``monotone-valuation`` otherwise."""
+        rng = seeded_rng(18)
+        seen = {"accepted": 0, "serial": 0, "monotone-valuation": 0, "cyclic": 0}
+        for _ in range(2000):
+            nk, ns, order, trans, atoms_at = random_product(rng)
+            stages = [f"k{i}" for i in range(nk)]
+            states = [f"s{i}" for i in range(ns)]
+            closed = close_preorder(nk, order)
+            seen["cyclic"] += any((j, i) in closed for i, j in order if i != j)
+            serial = {a for a, _ in trans} == set(range(ns))
+            monotone = all(atoms_at[i, s] <= atoms_at[j, s] for i, j in closed for s in range(ns))
+            args = (
+                stages,
+                [(stages[i], stages[j]) for i, j in order],
+                states,
+                [(states[a], states[b]) for a, b in trans],
+                {(stages[k], states[s]): sorted(atoms) for (k, s), atoms in atoms_at.items()},
+            )
+            if not (serial and monotone):
+                rule = "monotone-valuation" if serial else "serial"
+                with pytest.raises(ValueError, match=f"^{rule}: "):
+                    product_frame(*args)
+                seen[rule] += 1
+                continue
+            m = product_frame(*args)
+            seen["accepted"] += 1
+            assert m.worlds == tuple(f"k{k}.s{s}" for k in range(nk) for s in range(ns))
+            world = {(k, s): k * ns + s for k in range(nk) for s in range(ns)}
+            assert {(x, y) for x in range(m.n) for y in iter_bits(m.up[x])} == {
+                (world[i, s], world[j, s]) for i, j in closed for s in range(ns)
+            }
+            assert {(x, y) for x in range(m.n) for y in iter_bits(m.succ[x])} == {
+                (world[k, a], world[k, b]) for k in range(nk) for a, b in trans
+            }
+            for atom in "pq":
+                want = {world[k, s] for (k, s), atoms in atoms_at.items() if atom in atoms}
+                assert set(iter_bits(m.atom_mask(atom))) == want
+        assert min(seen.values()) >= 200, seen
+
+
+def random_product(rng):
+    """Seeded index-level product input: stage and state counts, a stage
+    order (often cyclic), a transition graph (often not serial) and the
+    atoms at each (stage, state), upward closed along the order half of the
+    time and often not monotone otherwise."""
+    nk, ns = rng.randint(1, 4), rng.randint(1, 4)
+    density = rng.choice([0.2, 0.5])
+    order = [(i, j) for i in range(nk) for j in range(nk) if rng.random() < density]
+    density = rng.choice([0.3, 0.6, 0.9])
+    trans = [(a, b) for a in range(ns) for b in range(ns) if rng.random() < density]
+    atoms_at = {(k, s): {x for x in "pq" if rng.random() < 0.5} for k in range(nk) for s in range(ns)}
+    if rng.random() < 0.5:
+        closed = close_preorder(nk, order)
+        for i, j in sorted(closed):
+            for s in range(ns):
+                atoms_at[j, s] |= atoms_at[i, s]
+    return nk, ns, order, trans, atoms_at
+
 
 class TestModelStream:
     def test_exhaustive_then_samples(self):
@@ -412,7 +476,8 @@ def reference_find_countermodel(f, max_worlds=3, atoms=2, budget=0, seed=0):
         if top.count(frame.full) < len(batch):
             i, mask = next((i, v) for i, v in enumerate(top) if v != frame.full)
             m = frame.with_valuation(dict(zip(generated, batch[i])))
-            return gen._countermodel(f, m, mask, slots, checked + i + 1, bounds)
+            m = m.with_valuation({a: m.val[s] for a, s in slots.items()})  # f's atoms
+            return gen._countermodel(f, m, mask, checked + i + 1, bounds)
         checked += len(batch)
     outcome = "exhausted" if budget <= 0 else "budget_exceeded"
     return gen.SearchResult(outcome, None, None, checked, bounds)

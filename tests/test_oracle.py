@@ -250,17 +250,6 @@ class TestClassical:
         assert not classical_check(four_world, "w1", parse_formula("p -> q"))
         assert classical_check(four_world, "w2", parse_formula("p -> q"))
 
-    def test_matches_oracle_on_identity_preorder(self):
-        formulas = [parse_formula(t) for t in ["A[p U q]", "E[q R p]", "~p | EX q", "AX (p -> q)"]]
-        for seed in range(20):
-            m = random_model(GenParams(n_worlds=4, n_atoms=2, seed=seed))
-            ident = with_identity_preorder(m)
-            for f in formulas:
-                cls = classical_denotation(m, f)
-                orc = oracle_denotation(ident, f)
-                for g in subformulas(f):
-                    assert cls[g] == orc[g]
-
     def test_matches_the_classical_rule_table(self):
         rng = seeded_rng(16)
         preordered = 0  # models whose preorder is not the identity
