@@ -2,7 +2,7 @@
 
 Three ways to produce valid models:
 
-* :func:`enumerate_models` streams every valid model up to a size bound,
+* :func:`enumerate_models` streams every valid model with ``n`` worlds,
   in a fixed deterministic order (preorder, then transition relation,
   then valuation);
 * :func:`random_model` samples one: random DAG closed to a preorder,
@@ -227,8 +227,8 @@ def enumerate_frames(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]
     failed C1 or C2 check, so the candidates a brute-force filter would
     test are never built.  ``n = 0`` gives the one empty frame.
     """
-    for up, _, frames in _leader_frames(n, leaders=False):
-        for succ in frames:
+    for up in enumerate_preorders(n):
+        for succ in _transitions(up, _transpose(up)):
             yield up, succ
 
 
@@ -327,9 +327,9 @@ def _sweep(
 
     The ``k``-th of the ``samples`` random models has
     ``max_worlds + 1 + k % 3`` worlds and its seed drawn from
-    ``random.Random(seed)``.  A preorder's world index, ``down`` masks and,
-    when they fit in one batch, valuations are built once and shared by
-    all of its frames (see
+    ``random.Random(seed)``.  Frames stream from :func:`_transitions`; a
+    preorder's world index, ``down`` masks and, when they fit in one batch,
+    valuations are built once and shared by all of its frames (see
     :meth:`~ictl.model.BirelationalModel.with_transitions`); larger
     valuation lists are streamed again for each frame, so memory stays
     bounded by the batch size.
@@ -337,22 +337,33 @@ def _sweep(
     position = 0
     for n in range(1, max_worlds + 1):
         worlds = tuple(f"w{i}" for i in range(n))
-        for up, frames, leader_frames in _leader_frames(n, leaders):
-            ups = upward_closed_masks(up)
-            size = len(ups) ** a  # valuations per frame
-            base = BirelationalModel(worlds, up, (0,) * n, {})
-            shared = list(product(ups, repeat=a)) if size <= MAX_BATCH else None
-            for succ, k in leader_frames.items():
-                frame = base.with_transitions(succ)
-                offset = position + k * size
-                if shared is not None:
-                    yield offset, frame, shared
-                    continue
-                assignments = product(ups, repeat=a)
-                while batch := list(islice(assignments, MAX_BATCH)):
-                    yield offset, frame, batch
-                    offset += len(batch)
-            position += frames * size
+        perms = list(permutations(range(n)))[1:] if leaders else []  # all but the identity
+        models: dict[tuple[int, ...], int] = {}  # a class's least preorder: its model count
+        for up in enumerate_preorders(n):
+            images = {perm: _permuted(up, perm) for perm in perms}
+            least = min([up, *images.values()])
+            if least not in models:  # the first preorder of its class
+                automorphisms = [perm for perm, image in images.items() if image == up]
+                ups = upward_closed_masks(up)
+                size = len(ups) ** a  # valuations per frame
+                base = BirelationalModel(worlds, up, (0,) * n, {})
+                shared = list(product(ups, repeat=a)) if size <= MAX_BATCH else None
+                frames = 0
+                for succ in _transitions(up, _transpose(up)):
+                    offset = position + frames * size
+                    frames += 1
+                    if any(_permuted(succ, perm) < succ for perm in automorphisms):
+                        continue  # an image under an automorphism comes first
+                    frame = base.with_transitions(succ)
+                    if shared is not None:
+                        yield offset, frame, shared
+                        continue
+                    assignments = product(ups, repeat=a)
+                    while batch := list(islice(assignments, MAX_BATCH)):
+                        yield offset, frame, batch
+                        offset += len(batch)
+                models[least] = frames * size
+            position += models[least]
     rng = random.Random(seed)
     names = atom_names(a)
     for k in range(samples):
@@ -401,10 +412,15 @@ def product_frame(
     k = k' and s -> s'.  C1 and C2 hold on every product, so of the rules
     of :func:`~ictl.model.validate_frame` only ``serial`` (a state with no
     transition) and ``monotone-valuation`` can fail, ``serial`` first;
-    the ``ValueError`` names the rule of the first breach.
+    the ``ValueError`` names the rule of the first breach.  A product with
+    no worlds, or with two ``{stage}.{state}`` names alike, is refused first.
     """
+    worlds = [f"{k}.{s}" for k in stages for s in states]
+    if len(set(worlds)) < len(worlds) or not worlds:
+        twice = [w for w in worlds if worlds.count(w) > 1]
+        raise ValueError(f"duplicate world {twice[0]!r}" if twice else "the product has no worlds")
     m = build_model(
-        [f"{k}.{s}" for k in stages for s in states],
+        worlds,
         [(f"{a}.{s}", f"{b}.{s}") for a, b in stage_order for s in states],
         [(f"{k}.{a}", f"{k}.{b}") for a, b in state_transitions for k in stages],
         {f"{k}.{s}": atoms for (k, s), atoms in valuation.items()},
@@ -450,41 +466,6 @@ def _search_atoms(atoms: Iterable[str], a: int) -> dict[str, str]:
     return {x: x if x in slots else next(free) for x in names}
 
 
-def _leader_frames(
-    n: int, leaders: bool = True
-) -> Iterator[tuple[tuple[int, ...], int, dict[tuple[int, ...], int]]]:
-    """Each preorder of ``enumerate_preorders(n)``, in order, with its
-    number of frames and its leader frames, each leader's ``succ`` mapped
-    to its position among the preorder's frames.
-
-    A leader is the first frame of its isomorphism class in
-    :func:`enumerate_frames` order.  Renaming worlds maps the frames of a
-    preorder one to one onto those of its image, so a frame is a leader
-    iff its preorder comes first in its class and its ``succ`` is the
-    least, in ``product`` order, of its images under that preorder's
-    automorphisms.  The frames of any other preorder are not enumerated:
-    there are as many as the first of its class has.  Without ``leaders``
-    the only renaming is the identity, so every frame is its own leader.
-    """
-    perms = list(permutations(range(n)))[1:] if leaders else []  # all but the identity
-    counts: dict[tuple[int, ...], int] = {}  # a class's least preorder: its frame count
-    for up in enumerate_preorders(n):
-        images = {perm: _permuted(up, perm) for perm in perms}
-        least = min([up, *images.values()])
-        if least in counts:
-            yield up, counts[least], {}
-            continue
-        automorphisms = [perm for perm, image in images.items() if image == up]
-        found: dict[tuple[int, ...], int] = {}
-        frames = 0
-        for succ in _transitions(up, _transpose(up)):
-            if not automorphisms or all(_permuted(succ, perm) >= succ for perm in automorphisms):
-                found[succ] = frames
-            frames += 1
-        counts[least] = frames
-        yield up, frames, found
-
-
 def find_countermodel(
     f: Formula,
     max_worlds: int = 3,
@@ -510,7 +491,7 @@ def find_countermodel(
     rather than returning a bogus model.
 
     The exhaustive part runs the engine only on the leader frames (see
-    :func:`_leader_frames` and the module docstring); every other frame's
+    :func:`_sweep` and the module docstring); every other frame's
     valuations are counted unevaluated.  As long as every rule commutes
     with renaming worlds, the first hit, its position, world and model are
     those of a scan of every frame.

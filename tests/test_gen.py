@@ -147,6 +147,29 @@ class TestFrameEnumerator:
         assert frames == brute_force_frames(4, [up])
         assert frames
 
+    def test_frames_stream_as_found(self, monkeypatch):
+        # the first frame of a preorder comes out before its second is found
+        up = self.FOUR_WORLD_PREORDERS["discrete"]
+        monkeypatch.setattr(gen, "enumerate_preorders", lambda n: (up,) if n == 4 else ())
+        drawn = []
+        transitions = gen._transitions
+
+        def counted(order, down):
+            for succ in transitions(order, down):
+                drawn.append(succ)
+                yield succ
+
+        monkeypatch.setattr(gen, "_transitions", counted)
+        streams = [
+            enumerate_frames(4),
+            gen._sweep(4, 0, 0, 0, False),
+            gen._sweep(4, 0, 0, 0, True),  # the first frame in product order leads
+        ]
+        for stream in streams:
+            drawn.clear()
+            next(stream)
+            assert len(drawn) == 1
+
     def test_every_four_world_frame(self):
         start = time.perf_counter()
         assert sum(1 for _ in enumerate_frames(4)) == 2_073_373
@@ -290,6 +313,20 @@ class TestProductFrame:
             product_frame(
                 ["lo", "hi"], [("lo", "hi")], ["s"], [("s", "s")], {("lo", "s"): ["p"]}
             )
+
+    @pytest.mark.parametrize(
+        "stages, states, twice",
+        [(["k", "k"], ["s"], "k.s"), (["a", "a.b"], ["b.c", "c"], "a.b.c")],
+    )
+    def test_duplicate_world_rejected(self, stages, states, twice):
+        # a serial graph: build_model would merge the two names into one world
+        with pytest.raises(ValueError, match=f"^duplicate world '{twice}'$"):
+            product_frame(stages, [], states, [(s, s) for s in states], {})
+
+    @pytest.mark.parametrize("stages, states", [([], ["s"]), (["k"], []), ([], [])])
+    def test_no_worlds_rejected(self, stages, states):
+        with pytest.raises(ValueError, match="no worlds"):
+            product_frame(stages, [], states, [(s, s) for s in states], {})
 
     def test_products_always_validate(self):
         for nk, ns in [(1, 1), (2, 2), (3, 2), (2, 3)]:
@@ -500,7 +537,12 @@ def random_searches(count, seed):
 
 
 def leader_frames(n):
-    return [(up, succ) for up, _, leaders in gen._leader_frames(n) for succ in leaders]
+    """The ``n``-world frames of the leader sweep, as (up, succ)."""
+    return [
+        (frame.up, frame.succ)
+        for _, frame, _ in gen._sweep(n, 0, 0, 0, leaders=True)
+        if frame is not None and frame.n == n
+    ]
 
 
 def automorphisms(up, succ):

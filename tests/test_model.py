@@ -1,5 +1,7 @@
+import json
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -50,9 +52,13 @@ class TestLoad:
         assert len(raw.worlds) == 4
         assert raw.valuation["v1"] == {"p", "q"}
 
-    def test_json_text_accepted(self):
-        import json
+    def test_shipped_example_is_the_fixture(self):
+        path = Path(__file__).resolve().parents[1] / "models" / "four_world.json"
+        text = path.read_text()
+        assert json.loads(text) == FOUR_WORLD_DOC
+        assert load_model(text) == load_model(FOUR_WORLD_DOC)
 
+    def test_json_text_accepted(self):
         raw = load_model(json.dumps(FOUR_WORLD_DOC))
         assert raw.worlds == ["w1", "w2", "v1", "v2"]
 
