@@ -75,7 +75,7 @@ from .model import (
     up_interior,
 )
 from .oracle import Lasso
-from .syntax import _AR, _AU, _AX, _ER, _EU, _EX, _IMP, Formula, Program, compile_formulas, run
+from .syntax import _AR, _AU, _AX, _ER, _EU, _EX, _IMP, _SYNTAX, Formula, Program, compile_formulas, run
 
 __all__ = [
     "lfp",
@@ -192,7 +192,7 @@ def evaluate(m: BirelationalModel, program: Program) -> list[int]:
 
     The model is not validated.
     """
-    return run(program, m, operators(), {})
+    return run(program, m, operators())
 
 
 def denote(
@@ -246,7 +246,7 @@ def check(
     sets = evaluate(m, program)
     kind, l, r = program.nodes[-1]
     sat = bool(sets[-1] >> w & 1)
-    if kind <= _IMP or sat == (kind in _DUALS):  # evidence is for a true E or a false A
+    if not _owes_evidence(f, sat):
         return CheckOutcome(sat)
     explain = _path_witness if sat else _universal_failure
     return CheckOutcome(sat, explain(m, kind, w, sets[l], sets[r] if r >= 0 else 0))
@@ -257,6 +257,13 @@ def check(
 
 # each universal kind's classical dual
 _DUALS = {_AX: _EX, _AU: _ER, _AR: _EU}
+
+
+def _owes_evidence(f: Formula, sat: bool) -> bool:
+    """Whether the verdict ``sat`` on ``f`` is one that path evidence
+    explains: ``f`` is a true existential or a false universal."""
+    kind = _SYNTAX[type(f)][0]
+    return kind > _IMP and sat != (kind in _DUALS)
 
 
 def _layers(m: BirelationalModel, w: int, region: int, goal: int) -> list[int] | None:

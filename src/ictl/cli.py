@@ -2,8 +2,9 @@
 
 Subcommands: ``validate``, ``check``, ``denote``, ``countermodel``,
 ``compare``.  Exit codes: 0 success/satisfied/valid, 1 unsatisfied or
-search exhausted, 2 input error, 3 invalid frame, 4 engine disagreement,
-5 search budget exceeded.
+search exhausted, 2 input error, 3 invalid frame, 4 engine disagreement
+or a verdict without the evidence it owes (a true existential or a false
+universal that ``check`` shows no path for), 5 search budget exceeded.
 
 With ``--format json`` each invocation emits a single document shaped
 ``{"command": ..., "verdict": ..., "witness": ..., "report": [...]}``;
@@ -17,7 +18,7 @@ import json
 import random
 import sys
 
-from .checker import UniversalFailure, check, denote
+from .checker import UniversalFailure, _owes_evidence, check, denote
 from .gen import atom_names, find_countermodel, model_stream, random_formula
 from .harness import compile_battery, scan_models
 from .model import (
@@ -150,6 +151,9 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
         lines = [f"{e + ':':9} {word[v]}" for e, v in verdicts.items()]
     if not agree:
         return 4, doc, lines + ["ENGINES DISAGREE"]
+    if "fixpoint" in verdicts and witness is None and _owes_evidence(f, satisfied):
+        doc["verdict"] = "no evidence"
+        return 4, doc, lines + ["ENGINE GIVES NO EVIDENCE"]
     text = _witness_text(m, witness)
     if text:
         lines.append(f"witness: {text}")

@@ -19,14 +19,15 @@ it yields a brute-force filter's frames in the same order without
 building the rejected candidates; every frame with 4 worlds is within
 reach.
 
-Every exhaustive stream is one sweep, :func:`_sweep`: for n = 1, 2, ...
-each preorder's valid frames, each with its valuations as tuples of masks
-in batches of at most :data:`~ictl.syntax.MAX_BATCH`, then seeded random
-models as batches of one.  Each batch carries its *position*, the index
-of its first model in the labelled stream, and the sweep ends with the
-stream's length and no frame.  :func:`model_batches`,
-:func:`frame_batches`, :func:`model_stream` and :func:`enumerate_models`
-filter or flatten it; ``ictl compare`` scans :func:`model_stream`.
+Every exhaustive stream is one sweep, :func:`_sweep`, over the world
+counts it is given: for each, every preorder's valid frames, each with
+its valuations as tuples of masks in batches of at most
+:data:`~ictl.syntax.MAX_BATCH`, then seeded random models as batches of
+one.  Each batch carries its *position*, the index of its first model in
+the labelled stream, and the sweep ends with the stream's length and no
+frame.  :func:`model_batches` reads it for the world counts from one up,
+:func:`model_stream` flattens that, and :func:`enumerate_models` flattens
+the sweep of one world count; ``ictl compare`` scans :func:`model_stream`.
 
 :func:`find_countermodel` looks for a model and world refuting a formula,
 double-checking any hit against the path oracle before returning it.  It
@@ -106,7 +107,6 @@ __all__ = [
     "upward_closed_masks",
     "frame_conditions_hold",
     "enumerate_frames",
-    "frame_batches",
     "enumerate_models",
     "random_model",
     "model_batches",
@@ -232,31 +232,15 @@ def enumerate_frames(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]
             yield up, succ
 
 
-Batch = tuple[BirelationalModel, list[tuple[int, ...]]]
-
-
-def frame_batches(n: int, a: int) -> Iterator[Batch]:
-    """Every valid frame with ``n`` worlds, paired with its valuations of
-    ``a`` atoms, deterministically: the :func:`model_batches` of ``n``
-    worlds.
-
-    A valuation is a tuple of upward-closed masks, one per
-    :func:`atom_names` slot.  A frame with more than
-    :data:`~ictl.syntax.MAX_BATCH` valuations comes as several
-    consecutive batches that carry the same frame object.
-    """
-    yield from ((frame, batch) for frame, batch in model_batches(n, a) if frame.n == n)
-
-
 def enumerate_models(n: int, a: int) -> Iterator[BirelationalModel]:
     """Every valid model with ``n`` worlds and ``a`` atoms, deterministically:
-    the :func:`model_stream` of ``n`` worlds.
+    the :func:`model_stream` of ``n`` worlds, without the smaller ones.
 
     Worlds are named ``w0 .. w{n-1}``; atoms come from :func:`atom_names`.
     The models of one frame share its masks (see
     :meth:`~ictl.model.BirelationalModel.with_valuation`).
     """
-    yield from (m for m in model_stream(n, a) if m.n == n)
+    yield from _models(range(max(n, 1), n + 1), a, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,25 +302,26 @@ def random_model(params: GenParams) -> BirelationalModel:
 
 
 def _sweep(
-    max_worlds: int, a: int, samples: int, seed: int, leaders: bool = False
+    worlds: range, a: int, samples: int, seed: int, leaders: bool = False
 ) -> Iterator[tuple[int, BirelationalModel | None, list[tuple[int, ...]]]]:
-    """``(position, frame, valuations)`` per batch of the labelled stream,
-    ``position`` being the index of the batch's first model, then
+    """``(position, frame, valuations)`` per batch of the labelled stream of
+    the world counts in ``worlds``, ``position`` being the index of the
+    batch's first model from the first of ``worlds.start`` worlds, then
     ``(total, None, [])``; with ``leaders``, only the leader frames'
     batches (see the module docstring).
 
     The ``k``-th of the ``samples`` random models has
-    ``max_worlds + 1 + k % 3`` worlds and its seed drawn from
+    ``worlds.stop + k % 3`` worlds and its seed drawn from
     ``random.Random(seed)``.  Frames stream from :func:`_transitions`; a
     preorder's world index, ``down`` masks and, when they fit in one batch,
-    valuations are built once and shared by all of its frames (see
-    :meth:`~ictl.model.BirelationalModel.with_transitions`); larger
+    valuations are built once and shared by all of its frames; larger
     valuation lists are streamed again for each frame, so memory stays
     bounded by the batch size.
     """
     position = 0
-    for n in range(1, max_worlds + 1):
-        worlds = tuple(f"w{i}" for i in range(n))
+    for n in worlds:
+        labels = tuple(f"w{i}" for i in range(n))
+        index = {w: i for i, w in enumerate(labels)}
         perms = list(permutations(range(n)))[1:] if leaders else []  # all but the identity
         models: dict[tuple[int, ...], int] = {}  # a class's least preorder: its model count
         for up in enumerate_preorders(n):
@@ -346,15 +331,15 @@ def _sweep(
                 automorphisms = [perm for perm, image in images.items() if image == up]
                 ups = upward_closed_masks(up)
                 size = len(ups) ** a  # valuations per frame
-                base = BirelationalModel(worlds, up, (0,) * n, {})
+                down = _transpose(up)
                 shared = list(product(ups, repeat=a)) if size <= MAX_BATCH else None
                 frames = 0
-                for succ in _transitions(up, _transpose(up)):
+                for succ in _transitions(up, down):
                     offset = position + frames * size
                     frames += 1
                     if any(_permuted(succ, perm) < succ for perm in automorphisms):
                         continue  # an image under an automorphism comes first
-                    frame = base.with_transitions(succ)
+                    frame = BirelationalModel(labels, up, succ, {}, index=index, down=down)
                     if shared is not None:
                         yield offset, frame, shared
                         continue
@@ -368,7 +353,7 @@ def _sweep(
     names = atom_names(a)
     for k in range(samples):
         m = random_model(
-            GenParams(n_worlds=max_worlds + 1 + k % 3, n_atoms=a, seed=rng.getrandbits(63))
+            GenParams(n_worlds=worlds.stop + k % 3, n_atoms=a, seed=rng.getrandbits(63))
         )
         yield position + k, m, [tuple(m.val[x] for x in names)]
     yield position + samples, None, []
@@ -376,10 +361,10 @@ def _sweep(
 
 def model_batches(
     max_worlds: int, atoms: int, samples: int = 0, seed: int = 0
-) -> Iterator[Batch]:
+) -> Iterator[tuple[BirelationalModel, list[tuple[int, ...]]]]:
     """The batches of every valid frame with up to ``max_worlds`` worlds,
     then of ``samples`` random models: the labelled :func:`_sweep`."""
-    for _, frame, batch in _sweep(max_worlds, atoms, samples, seed):
+    for _, frame, batch in _sweep(range(1, max_worlds + 1), atoms, samples, seed):
         if batch:
             yield frame, batch
 
@@ -389,8 +374,13 @@ def model_stream(
 ) -> Iterator[BirelationalModel]:
     """The :func:`model_batches` one model at a time: every valid model with
     up to ``max_worlds`` worlds, then ``samples`` random models."""
+    yield from _models(range(1, max_worlds + 1), atoms, samples, seed)
+
+
+def _models(worlds: range, atoms: int, samples: int, seed: int) -> Iterator[BirelationalModel]:
+    """The labelled :func:`_sweep` of ``worlds`` one model at a time."""
     names = atom_names(atoms)
-    for frame, batch in model_batches(max_worlds, atoms, samples, seed):
+    for _, frame, batch in _sweep(worlds, atoms, samples, seed):
         for assignment in batch:
             yield frame.with_valuation(dict(zip(names, assignment)))
 
@@ -504,7 +494,8 @@ def find_countermodel(
     place = [generated.index(slots[a]) for a in names]  # each atom's slot in a valuation
     bounds = {"max_worlds": max_worlds, "atoms": names, "budget": budget, "seed": seed}
     frame = column_batch = None
-    for position, batch_frame, batch in _sweep(max_worlds, len(names), budget, seed, leaders=True):
+    sweep = _sweep(range(1, max_worlds + 1), len(names), budget, seed, leaders=True)
+    for position, batch_frame, batch in sweep:
         if not batch:  # the end: position is the stream's length
             break
         if batch_frame is not frame:

@@ -12,9 +12,8 @@ are tuples of per-world bitmasks.  ``up[i]`` holds the worlds P-above
 world ``i`` (including ``i``), ``down[i]`` the worlds P-below it,
 ``succ[i]`` its R-successors and ``pred[i]`` its R-predecessors.
 :meth:`BirelationalModel.with_valuation` puts another valuation on the
-same frame, sharing all of its masks, and
-:meth:`BirelationalModel.with_transitions` other transitions on the same
-worlds and preorder, computing only ``pred``.
+same frame, sharing all of its masks; ``pred``, ``index`` and ``down``
+may be handed to the constructor ready-made, to share them across frames.
 
 Every quantifier over a relation is one :func:`image`, the union of
 ``rel[j]`` over the worlds ``j`` of a set, which costs the set's bits,
@@ -31,9 +30,9 @@ Ingest is one pass each.  :func:`load_model` checks a well-formed document
 a whole list at a time (each distinct atom name is matched once) and
 walks entry by entry only to name the first bad entry; the preorder is
 closed in one depth-first pass over its strongly connected components;
-and :func:`validate_frame` decides transitivity and monotonicity with one
-mask test per world or atom, enumerating witnesses only for the worlds and
-atoms that fail.
+and :func:`validate_frame` decides transitivity, monotonicity and C3
+with one mask test per world or atom, enumerating witnesses only for the
+worlds and atoms that fail.
 
 :func:`frame_violations` is the one C1/C2 check that reports witnesses:
 :func:`validate_frame` reports what it yields, and the random generator
@@ -322,13 +321,15 @@ class BirelationalModel:
         val: dict[str, int],
         pred: tuple[int, ...] | None = None,
         index: dict[str, int] | None = None,
+        down: tuple[int, ...] | None = None,
     ):
-        """``pred`` and ``index``, when given, must be ``succ`` transposed
-        and the position of each world name; otherwise they are computed."""
+        """``pred``, ``index`` and ``down``, when given, must be ``succ``
+        transposed, the position of each world name and ``up`` transposed;
+        otherwise they are computed."""
         self.worlds = worlds
         self.index = {w: i for i, w in enumerate(worlds)} if index is None else index
         self.up = up
-        self.down = _transpose(up)
+        self.down = _transpose(up) if down is None else down
         self.succ = succ
         self.pred = _transpose(succ) if pred is None else pred
         self.val = val
@@ -345,18 +346,6 @@ class BirelationalModel:
         m.n, m.full = self.n, self.full
         m.val = val
         m.atoms = tuple(sorted(val))
-        return m
-
-    def with_transitions(self, succ: tuple[int, ...]) -> "BirelationalModel":
-        """The same worlds, preorder and valuation under transition masks
-        ``succ``; every other field is shared, and only ``pred`` is computed."""
-        m = object.__new__(BirelationalModel)
-        m.worlds, m.index, m.up, m.down, m.val, m.atoms = (
-            self.worlds, self.index, self.up, self.down, self.val, self.atoms
-        )
-        m.n, m.full = self.n, self.full
-        m.succ = succ
-        m.pred = _transpose(succ)
         return m
 
     def world_index(self, name: str) -> int:
@@ -599,14 +588,13 @@ def validate_frame(
     if check_c3:
         # C3 (optional): x P y, y R z  =>  exists u: x R u, u P z
         for x in range(m.n):
-            for y in iter_bits(m.up[x]):
-                for z in iter_bits(m.succ[y]):
-                    if not (m.succ[x] & m.down[z]):
-                        emit(
-                            "C3",
-                            (x, y, z),
-                            f"C3 fails at ({W[x]}, {W[y]}, {W[z]}): no u with {W[x]} R u and u P {W[z]}",
-                        )
+            bad = ~image(up, m.succ[x])  # the z with no such u
+            if not image(m.succ, up[x]) & bad:
+                continue
+            for y in iter_bits(up[x]):
+                for z in iter_bits(m.succ[y] & bad):
+                    need = f"{W[x]} R u and u P {W[z]}"
+                    emit("C3", (x, y, z), f"C3 fails at ({W[x]}, {W[y]}, {W[z]}): no u with {need}")
     return report
 
 

@@ -333,7 +333,7 @@ def oracle_denotation(
     if validate:
         ensure_valid(m)
     program = compile_formulas([f])
-    return dict(zip(program.formulas, run(program, m, operators(), {})))
+    return dict(zip(program.formulas, run(program, m, operators())))
 
 
 def oracle_check(

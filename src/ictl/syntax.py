@@ -45,9 +45,9 @@ computes atoms, ``false``, ``&`` and ``|`` itself, as list comprehensions
 over the columns, and hands every other node to a kind-indexed operator
 table; the fixpoint engine, the path oracle and the classical semantics
 differ only in their tables.  It memoizes every operator result by the
-operator and its child masks, in a memo the caller passes (fresh per
-model, or kept across all batches of a frame), and calls the table only
-on a miss.  :func:`run` evaluates one model, as a batch of one.
+operator and its child masks, in a memo the caller passes (kept across
+all batches of a frame), and calls the table only on a miss.  :func:`run`
+evaluates one model, as a batch of one with a memo of its own.
 """
 
 from __future__ import annotations
@@ -412,13 +412,11 @@ def run_frame(
     return cols
 
 
-def run(
-    program: Program, m: BirelationalModel, ops: Sequence[Callable | None], memo: dict[int, int]
-) -> list[int]:
+def run(program: Program, m: BirelationalModel, ops: Sequence[Callable | None]) -> list[int]:
     """World-set bitmask of every node of ``program`` on model ``m``, in
     table order: :func:`run_frame` over the one valuation of ``m``."""
     columns = {a: (m.atom_mask(a),) for a in program.atom_slots}
-    return [col[0] for col in run_frame(program, m, columns, 1, ops, memo)]
+    return [col[0] for col in run_frame(program, m, columns, 1, ops, {})]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from ictl.gen import (
     enumerate_frames,
     enumerate_models,
     find_countermodel,
-    frame_batches,
     model_batches,
     model_stream,
     upward_closed_masks,
@@ -91,17 +90,16 @@ def test_run_frame_columns_equal_per_model_runs(table):
     ops = TABLES[table]()
     names = atom_names(2)
     frames = 0
-    for n in (1, 2, 3):
-        for frame, batch in frame_batches(n, 2):
-            frames += 1
-            columns = dict(zip(names, zip(*batch)))
-            cols = run_frame(program, frame, columns, len(batch), ops, {})
-            assert all(len(col) == len(batch) for col in cols)
-            memo = {}
-            for i, assignment in enumerate(batch):
-                m = frame.with_valuation(dict(zip(names, assignment)))
-                want = scalar_run(program, m, ops, memo)
-                assert [col[i] for col in cols] == want
+    for frame, batch in model_batches(3, 2):
+        frames += 1
+        columns = dict(zip(names, zip(*batch)))
+        cols = run_frame(program, frame, columns, len(batch), ops, {})
+        assert all(len(col) == len(batch) for col in cols)
+        memo = {}
+        for i, assignment in enumerate(batch):
+            m = frame.with_valuation(dict(zip(names, assignment)))
+            want = scalar_run(program, m, ops, memo)
+            assert [col[i] for col in cols] == want
     assert frames == 1 + 28 + 3413
 
 
@@ -171,7 +169,8 @@ def test_enumerate_models_equals_the_flattened_batches(n):
     ]
     flattened = [
         (frame.up, frame.succ, dict(zip(names, assignment)))
-        for frame, batch in frame_batches(n, 2)
+        for frame, batch in model_batches(n, 2)
+        if frame.n == n
         for assignment in batch
     ]
     models = [(m.up, m.succ, m.val) for m in enumerate_models(n, 2)]
@@ -257,8 +256,8 @@ class TestChunks:
         assert stats.ok and stats.models == 2**14
         assert stats.verdicts == len(program.nodes) * 2**14
 
-    def test_frame_batches_split_the_frame(self):
-        batches = list(frame_batches(1, 14))
+    def test_model_batches_split_the_frame(self):
+        batches = list(model_batches(1, 14))
         assert [len(batch) for _, batch in batches] == [MAX_BATCH] * (2**14 // MAX_BATCH)
         assert len({id(frame) for frame, _ in batches}) == 1
         assert [a for _, batch in batches for a in batch] == list(product((0, 1), repeat=14))
@@ -269,4 +268,4 @@ def test_run_is_a_batch_of_one():
     program = compile_formulas([parse_formula("AX p -> E[p U q] | ~q")])
     ops = checker.operators()
     cols = run_frame(program, m, {"p": [2], "q": [0]}, 1, ops, {})
-    assert run(program, m, ops, {}) == [col[0] for col in cols] == scalar_run(program, m, ops, {})
+    assert run(program, m, ops) == [col[0] for col in cols] == scalar_run(program, m, ops, {})

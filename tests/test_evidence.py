@@ -14,6 +14,7 @@ compares the walk with those searches directly on random graphs.
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import islice
 
@@ -340,6 +341,29 @@ def test_stubbed_universal_rule_changes_only_the_verdict(monkeypatch):
     for world in m.worlds:
         assert check(m, world, parse_formula("AX true")) == CheckOutcome(False, None)
 
+
+# a wrong rule whose verdict at v2 owes a path that the masks cannot give:
+# rule -> (stub, formula, the engine's claim)
+UNEXPLAINED = {
+    "exists_until_set": (lambda m, a, b: m.full, "E[p U q]", True),
+    "forall_next_set": (lambda m, a: 0, "AX true", False),
+}
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+@pytest.mark.parametrize("rule", UNEXPLAINED)
+def test_verdict_without_its_evidence_exits_4(monkeypatch, capsys, four_world_path, rule, fmt):
+    stub, text, claim = UNEXPLAINED[rule]
+    monkeypatch.setattr(checker, rule, stub)
+    code = main(["--format", fmt, "check", four_world_path, "v2", text])
+    out, err = capsys.readouterr()
+    assert (code, err) == (4, "")
+    if fmt == "human":
+        assert out == f"{'satisfied' if claim else 'not satisfied'}\nENGINE GIVES NO EVIDENCE\n"
+    else:
+        doc = json.loads(out)
+        assert (doc["verdict"], doc["witness"]) == ("no evidence", None)
+        assert doc["report"] == [{"engine": "fixpoint", "satisfied": claim}]
 
 
 EXISTENTIAL_STUBS = {

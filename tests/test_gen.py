@@ -18,8 +18,8 @@ from ictl.gen import (
     enumerate_models,
     enumerate_preorders,
     find_countermodel,
-    frame_batches,
     frame_conditions_hold,
+    model_batches,
     model_stream,
     product_frame,
     random_formula,
@@ -97,6 +97,21 @@ class TestEnumerate:
         second = [gen_model.up + gen_model.succ for gen_model in islice(enumerate_models(3, 1), 50)]
         assert first == second
 
+    def test_sweeps_only_its_world_count(self, monkeypatch):
+        asked = []
+        preorders = gen.enumerate_preorders
+
+        def recorded(n):
+            asked.append(n)
+            return preorders(n)
+
+        monkeypatch.setattr(gen, "enumerate_preorders", recorded)
+        assert sum(1 for _ in enumerate_models(3, 2)) == 82_298
+        assert set(asked) == {3}
+
+    def test_no_worlds_no_models(self):
+        assert list(enumerate_models(0, 2)) == []
+
     def test_preorder_count_small(self):
         assert len(enumerate_preorders(1)) == 1
         assert len(enumerate_preorders(2)) == 4
@@ -162,8 +177,8 @@ class TestFrameEnumerator:
         monkeypatch.setattr(gen, "_transitions", counted)
         streams = [
             enumerate_frames(4),
-            gen._sweep(4, 0, 0, 0, False),
-            gen._sweep(4, 0, 0, 0, True),  # the first frame in product order leads
+            gen._sweep(range(4, 5), 0, 0, 0, False),
+            gen._sweep(range(4, 5), 0, 0, 0, True),  # the first frame in product order leads
         ]
         for stream in streams:
             drawn.clear()
@@ -177,7 +192,8 @@ class TestFrameEnumerator:
 
     def test_frames_of_a_preorder_share_its_masks(self):
         first = {}
-        for frame, batch in frame_batches(3, 2):
+        three_worlds = [(frame, batch) for frame, batch in model_batches(3, 2) if frame.n == 3]
+        for frame, batch in three_worlds:
             seen, seen_batch = first.setdefault(frame.up, (frame, batch))
             for name in ("worlds", "index", "up", "down"):
                 assert getattr(frame, name) is getattr(seen, name), name
@@ -185,8 +201,8 @@ class TestFrameEnumerator:
         assert len(first) == len(enumerate_preorders(3))
 
     def test_no_atoms(self):
-        assert [batch for _, batch in frame_batches(1, 0)] == [[()]]
-        assert [len(batch) for _, batch in frame_batches(2, 0)] == [1] * 28
+        assert [batch for _, batch in model_batches(1, 0)] == [[()]]
+        assert [len(batch) for frame, batch in model_batches(2, 0) if frame.n == 2] == [1] * 28
 
 
 class TestFixtureInStream:
@@ -540,8 +556,8 @@ def leader_frames(n):
     """The ``n``-world frames of the leader sweep, as (up, succ)."""
     return [
         (frame.up, frame.succ)
-        for _, frame, _ in gen._sweep(n, 0, 0, 0, leaders=True)
-        if frame is not None and frame.n == n
+        for _, frame, _ in gen._sweep(range(n, n + 1), 0, 0, 0, leaders=True)
+        if frame is not None
     ]
 
 
@@ -646,7 +662,7 @@ def sweep(max_worlds, atoms, samples, leaders):
     """``gen._sweep`` with each frame as its relations and valuation."""
     return [
         (position, frame and (frame.up, frame.succ, frame.val), batch)
-        for position, frame, batch in gen._sweep(max_worlds, atoms, samples, 11, leaders)
+        for position, frame, batch in gen._sweep(range(1, max_worlds + 1), atoms, samples, 11, leaders)
     ]
 
 
@@ -680,7 +696,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("leaders", [False, True])
     def test_large_frame_splits_at_its_offsets(self, leaders):
-        batches = list(gen._sweep(1, 14, 0, 0, leaders))
+        batches = list(gen._sweep(range(1, 2), 14, 0, 0, leaders))
         assert [(at, len(batch)) for at, _, batch in batches] == [
             (0, 4096), (4096, 4096), (8192, 4096), (12288, 4096), (16384, 0)
         ]

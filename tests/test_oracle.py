@@ -263,7 +263,7 @@ class TestClassical:
             m = random_model(params)
             f = random_formula(rng, 4, ["p", "q"])
             program = compile_formulas([f])
-            want = dict(zip(program.formulas, run(program, m, _classical_operators(), {})))
+            want = dict(zip(program.formulas, run(program, m, _classical_operators())))
             assert classical_denotation(m, f) == want, (f, m)
             preordered += m.up != with_identity_preorder(m).up
         assert preordered >= 500

@@ -315,7 +315,7 @@ class TestCompile:
             calls.append((a, b))
             return m.full
 
-        vals = dict(zip(program.formulas, run(program, four_world, [None] * _IMP + [op] * 7, {})))
+        vals = dict(zip(program.formulas, run(program, four_world, [None] * _IMP + [op] * 7)))
         p_mask, q_mask = four_world.atom_mask("p"), four_world.atom_mask("q")
         assert vals[BOTTOM] == 0
         assert vals[parse_formula("p & q")] == p_mask & q_mask
