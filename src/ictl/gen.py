@@ -25,9 +25,9 @@ its valuations as tuples of masks in batches of at most
 :data:`~ictl.syntax.MAX_BATCH`, then seeded random models as batches of
 one.  Each batch carries its *position*, the index of its first model in
 the labelled stream, and the sweep ends with the stream's length and no
-frame.  :func:`model_batches` reads it for the world counts from one up,
-:func:`model_stream` flattens that, and :func:`enumerate_models` flattens
-the sweep of one world count; ``ictl compare`` scans :func:`model_stream`.
+frame.  :func:`model_stream` flattens it for the world counts from one
+up, and :func:`enumerate_models` for one world count; ``ictl compare``
+scans :func:`model_stream`.
 
 :func:`find_countermodel` looks for a model and world refuting a formula,
 double-checking any hit against the path oracle before returning it.  It
@@ -109,7 +109,6 @@ __all__ = [
     "enumerate_frames",
     "enumerate_models",
     "random_model",
-    "model_batches",
     "model_stream",
     "product_frame",
     "find_countermodel",
@@ -155,6 +154,8 @@ def atom_names(a: int) -> list[str]:
 @lru_cache(maxsize=None)
 def enumerate_preorders(n: int) -> tuple[tuple[int, ...], ...]:
     """All reflexive-transitive relations on ``range(n)`` as up-mask tuples."""
+    if n < 0:  # raised, so never cached
+        raise ValueError("n must be >= 0")
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     out = []
     for bits in range(1 << len(pairs)):
@@ -359,21 +360,11 @@ def _sweep(
     yield position + samples, None, []
 
 
-def model_batches(
-    max_worlds: int, atoms: int, samples: int = 0, seed: int = 0
-) -> Iterator[tuple[BirelationalModel, list[tuple[int, ...]]]]:
-    """The batches of every valid frame with up to ``max_worlds`` worlds,
-    then of ``samples`` random models: the labelled :func:`_sweep`."""
-    for _, frame, batch in _sweep(range(1, max_worlds + 1), atoms, samples, seed):
-        if batch:
-            yield frame, batch
-
-
 def model_stream(
     max_worlds: int, atoms: int, samples: int = 0, seed: int = 0
 ) -> Iterator[BirelationalModel]:
-    """The :func:`model_batches` one model at a time: every valid model with
-    up to ``max_worlds`` worlds, then ``samples`` random models."""
+    """Every valid model with up to ``max_worlds`` worlds, then ``samples``
+    random models: the labelled :func:`_sweep` one model at a time."""
     yield from _models(range(1, max_worlds + 1), atoms, samples, seed)
 
 
@@ -436,9 +427,9 @@ class SearchResult:
         return self.outcome == "countermodel"
 
 
-def _search_atoms(atoms: Iterable[str], a: int) -> dict[str, str]:
-    """Each search atom with the generators' atom (an :func:`atom_names`
-    slot) that stands for it.
+def _search_atoms(atoms: Iterable[str], a: int) -> dict[str, int]:
+    """Each search atom with the index of the :func:`atom_names` slot that
+    stands for it: its place in each valuation of the sweep.
 
     The search atoms are ``atoms`` sorted, padded to ``a`` from
     ``atom_names(a)``.  An atom that names a slot keeps it, so formulas
@@ -452,8 +443,8 @@ def _search_atoms(atoms: Iterable[str], a: int) -> dict[str, str]:
         if extra not in names:
             names.append(extra)
     slots = atom_names(len(names))
-    free = iter([s for s in slots if s not in names])
-    return {x: x if x in slots else next(free) for x in names}
+    free = iter([j for j, s in enumerate(slots) if s not in names])
+    return {x: slots.index(x) if x in slots else next(free) for x in names}
 
 
 def find_countermodel(
@@ -465,18 +456,17 @@ def find_countermodel(
 ) -> SearchResult:
     """Search for a model and world where ``f`` fails.
 
-    Scans the stream of :func:`model_stream`: every valid model up to
+    Sweeps the leader :func:`_sweep`: every valid model up to
     ``max_worlds`` worlds (complete, so the ``exhausted`` outcome is a
     proof of validity within the bounds), then up to ``budget`` random
-    models of larger sizes.  ``f`` is compiled once, and each batch of the
-    leader :func:`_sweep` is evaluated in one
-    :func:`~ictl.syntax.run_frame` call, with the engine rules bound when
-    the search starts and a memo per frame.  The batch's columns are keyed
-    by ``f``'s own atoms: ``columns[a]`` is the column of the slot that
-    :func:`_search_atoms` gives ``a``.  Only a hit is built into a model,
-    directly over ``f``'s atoms, so it is never renamed;
-    ``models_checked`` is its position in the stream plus one, or the
-    sweep's total when there is none.  Hits are verified with the path
+    models of larger sizes.  ``f`` is compiled once, and each batch is
+    evaluated in one :func:`~ictl.syntax.run_frame` call, with the engine
+    rules bound when the search starts and a memo per frame.  The batch's
+    columns are keyed by ``f``'s own atoms: ``columns[a]`` is the column
+    of the slot that :func:`_search_atoms` gives ``a``.  Only a hit is
+    built into a model, directly over ``f``'s atoms, so it is never
+    renamed; ``models_checked`` is its position in the stream plus one, or
+    the sweep's total when there is none.  Hits are verified with the path
     oracle; a verdict mismatch raises :class:`EngineDisagreementError`
     rather than returning a bogus model.
 
@@ -487,14 +477,11 @@ def find_countermodel(
     those of a scan of every frame.
     """
     program = compile_formulas([f])
-    slots = _search_atoms(program.atom_slots, atoms)
+    place = _search_atoms(program.atom_slots, atoms)
     ops = operators()
-    names = list(slots)
-    generated = atom_names(len(names))
-    place = [generated.index(slots[a]) for a in names]  # each atom's slot in a valuation
-    bounds = {"max_worlds": max_worlds, "atoms": names, "budget": budget, "seed": seed}
+    bounds = {"max_worlds": max_worlds, "atoms": list(place), "budget": budget, "seed": seed}
     frame = column_batch = None
-    sweep = _sweep(range(1, max_worlds + 1), len(names), budget, seed, leaders=True)
+    sweep = _sweep(range(1, max_worlds + 1), len(place), budget, seed, leaders=True)
     for position, batch_frame, batch in sweep:
         if not batch:  # the end: position is the stream's length
             break
@@ -502,11 +489,11 @@ def find_countermodel(
             frame, memo = batch_frame, {}
         if batch is not column_batch:  # the frames of one preorder share their batch
             column_batch, by_slot = batch, list(zip(*batch))
-            columns = {a: by_slot[j] for a, j in zip(names, place)}
+            columns = {a: by_slot[j] for a, j in place.items()}
         top = run_frame(program, frame, columns, len(batch), ops, memo)[-1]
         if top.count(frame.full) < len(batch):
             i, mask = next((i, v) for i, v in enumerate(top) if v != frame.full)
-            m = frame.with_valuation({a: batch[i][j] for a, j in zip(names, place)})
+            m = frame.with_valuation({a: batch[i][j] for a, j in place.items()})
             return _countermodel(f, m, mask, position + i + 1, bounds)
     outcome = "exhausted" if budget <= 0 else "budget_exceeded"
     return SearchResult(outcome, None, None, position, bounds)
@@ -547,13 +534,10 @@ def random_formula(rng: random.Random, max_height: int, atoms: Sequence[str]) ->
     return go(max_height)
 
 
-def enumerate_formulas(
-    max_height: int, atoms: Sequence[str], include_bottom: bool = False
-) -> list[Formula]:
-    """All distinct formulas up to ``max_height``, children before parents."""
+def enumerate_formulas(max_height: int, atoms: Sequence[str]) -> list[Formula]:
+    """All distinct formulas up to ``max_height`` over the leaves ``atoms``,
+    children before parents."""
     leaves: list[Formula] = [Atom(a) for a in atoms]
-    if include_bottom:
-        leaves.append(BOTTOM)
     cumulative: list[Formula] = list(leaves)
     exact: list[Formula] = list(leaves)
     for _h in range(2, max_height + 1):

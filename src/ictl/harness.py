@@ -1,7 +1,7 @@
 """Differential harness: run both engines over many (model, formula) pairs.
 
-The formula battery is compiled once into one
-:class:`~ictl.syntax.Program`; ``compile_battery`` is
+:func:`scan_models` takes the formula battery compiled once into one
+:class:`~ictl.syntax.Program` by ``compile_battery``, which is
 :func:`~ictl.syntax.compile_formulas`.  Consecutive models of one frame
 (same preorder and transition masks) form a batch of at most
 :data:`~ictl.syntax.MAX_BATCH`, evaluated in one
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby, islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from . import checker, oracle
 from .model import BirelationalModel
@@ -54,7 +54,7 @@ class ScanStats:
 
 def scan_models(
     models: Iterable[BirelationalModel],
-    battery: Program | Sequence[Formula],
+    battery: Program,
     max_disagreements: int = 5,
 ) -> ScanStats:
     """Compare engine and oracle on every battery formula at every world.
@@ -63,8 +63,6 @@ def scan_models(
     masks) are evaluated together and share the memo, so exhaustive
     streams grouped by frame scan quickly.
     """
-    if not isinstance(battery, Program):
-        battery = compile_battery(battery)
     n_nodes = len(battery.nodes)
     atoms = set(battery.atom_slots)
     # (kind, *child masks) -> oracle mask, where the engines differ on this frame

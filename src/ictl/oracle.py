@@ -86,7 +86,7 @@ def lasso_is_path(m: BirelationalModel, lasso: Lasso) -> bool:
     if not lasso.cycle:
         return False
     seq = lasso.states()
-    if any(i >= m.n for i in seq):
+    if any(not 0 <= i < m.n for i in seq):
         return False
     for a, b in zip(seq, seq[1:]):
         if not (m.succ[a] >> b & 1):

@@ -20,7 +20,6 @@ from ictl.gen import (
     enumerate_frames,
     enumerate_models,
     find_countermodel,
-    model_batches,
     model_stream,
     upward_closed_masks,
 )
@@ -90,7 +89,9 @@ def test_run_frame_columns_equal_per_model_runs(table):
     ops = TABLES[table]()
     names = atom_names(2)
     frames = 0
-    for frame, batch in model_batches(3, 2):
+    for _, frame, batch in gen._sweep(range(1, 4), 2, 0, 0):
+        if not batch:  # the end marker
+            break
         frames += 1
         columns = dict(zip(names, zip(*batch)))
         cols = run_frame(program, frame, columns, len(batch), ops, {})
@@ -106,7 +107,9 @@ def test_run_frame_columns_equal_per_model_runs(table):
 def reference_search(f, max_worlds=3, atoms=2, budget=0, seed=0):
     """``find_countermodel``'s answer, one model of the stream at a time."""
     program = compile_formulas([f])
-    slots = gen._search_atoms(program.atom_slots, atoms)
+    place = gen._search_atoms(program.atom_slots, atoms)
+    generated = atom_names(len(place))
+    slots = {a: generated[j] for a, j in place.items()}  # each atom's slot name
     ops = checker.operators()
     frame = None
     checked = 0
@@ -169,8 +172,7 @@ def test_enumerate_models_equals_the_flattened_batches(n):
     ]
     flattened = [
         (frame.up, frame.succ, dict(zip(names, assignment)))
-        for frame, batch in model_batches(n, 2)
-        if frame.n == n
+        for _, frame, batch in gen._sweep(range(n, n + 1), 2, 0, 0)
         for assignment in batch
     ]
     models = [(m.up, m.succ, m.val) for m in enumerate_models(n, 2)]
@@ -181,7 +183,7 @@ def test_model_stream_equals_the_flattened_batches():
     names = atom_names(2)
     flattened = [
         (frame.up, frame.succ, dict(zip(names, assignment)))
-        for frame, batch in model_batches(2, 2, samples=9, seed=4)
+        for _, frame, batch in gen._sweep(range(1, 3), 2, 9, 4)
         for assignment in batch
     ]
     assert [(m.up, m.succ, m.val) for m in model_stream(2, 2, samples=9, seed=4)] == flattened
@@ -247,17 +249,17 @@ class TestChunks:
 
     def test_scan_models(self, calls):
         battery = [parse_formula("a3 & a12 -> AX a7 | ~a0"), parse_formula("E[a1 U a13]")]
+        program = compile_formulas(battery)
         models = list(enumerate_models(1, 14))
         assert len(models) == 2**14
-        stats = scan_models(models, battery)
+        stats = scan_models(models, program)
         assert [size for size, _ in calls] == [MAX_BATCH] * (2**14 // MAX_BATCH)
         assert len({memo for _, memo in calls}) == 1
-        program = compile_formulas(battery)
         assert stats.ok and stats.models == 2**14
         assert stats.verdicts == len(program.nodes) * 2**14
 
-    def test_model_batches_split_the_frame(self):
-        batches = list(model_batches(1, 14))
+    def test_sweep_splits_the_frame(self):
+        batches = [(frame, batch) for _, frame, batch in gen._sweep(range(1, 2), 14, 0, 0) if batch]
         assert [len(batch) for _, batch in batches] == [MAX_BATCH] * (2**14 // MAX_BATCH)
         assert len({id(frame) for frame, _ in batches}) == 1
         assert [a for _, batch in batches for a in batch] == list(product((0, 1), repeat=14))

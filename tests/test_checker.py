@@ -403,8 +403,8 @@ class TestDispatch:
         assert len(calls) < len(applied)
 
     def test_scan_models(self, calls):
-        from ictl.harness import scan_models
+        from ictl.harness import compile_battery, scan_models
 
-        stats = scan_models(enumerate_models(1, 1), [parse_formula("AX p")])
+        stats = scan_models(enumerate_models(1, 1), compile_battery([parse_formula("AX p")]))
         assert stats.ok and stats.models == 2
         assert len(calls) == 2  # one memo miss per model

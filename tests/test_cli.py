@@ -52,6 +52,13 @@ class TestValidate:
         assert code == 3
         assert "serial" in out
 
+    def test_long_witness_list_truncated(self, capsys, tmp_path):
+        # eleven worlds with no transition: one more serial breach than is listed
+        path = write_model(tmp_path, {"worlds": [f"w{i}" for i in range(11)]})
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 3
+        assert out.splitlines()[-1] == "  (witness list truncated)"
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "validate", "/no/such/file.json")
         assert code == 2

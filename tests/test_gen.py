@@ -19,7 +19,6 @@ from ictl.gen import (
     enumerate_preorders,
     find_countermodel,
     frame_conditions_hold,
-    model_batches,
     model_stream,
     product_frame,
     random_formula,
@@ -112,6 +111,14 @@ class TestEnumerate:
     def test_no_worlds_no_models(self):
         assert list(enumerate_models(0, 2)) == []
 
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_world_count_refused(self, n):
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            enumerate_preorders(n)
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            list(enumerate_frames(n))
+        assert list(enumerate_models(n, 2)) == []
+
     def test_preorder_count_small(self):
         assert len(enumerate_preorders(1)) == 1
         assert len(enumerate_preorders(2)) == 4
@@ -192,7 +199,7 @@ class TestFrameEnumerator:
 
     def test_frames_of_a_preorder_share_its_masks(self):
         first = {}
-        three_worlds = [(frame, batch) for frame, batch in model_batches(3, 2) if frame.n == 3]
+        three_worlds = [(frame, batch) for _, frame, batch in gen._sweep(range(3, 4), 2, 0, 0) if batch]
         for frame, batch in three_worlds:
             seen, seen_batch = first.setdefault(frame.up, (frame, batch))
             for name in ("worlds", "index", "up", "down"):
@@ -201,8 +208,8 @@ class TestFrameEnumerator:
         assert len(first) == len(enumerate_preorders(3))
 
     def test_no_atoms(self):
-        assert [batch for _, batch in model_batches(1, 0)] == [[()]]
-        assert [len(batch) for frame, batch in model_batches(2, 0) if frame.n == 2] == [1] * 28
+        assert [batch for _, _, batch in gen._sweep(range(1, 2), 0, 0, 0) if batch] == [[()]]
+        assert [len(batch) for _, _, batch in gen._sweep(range(2, 3), 0, 0, 0) if batch] == [1] * 28
 
 
 class TestFixtureInStream:
@@ -234,6 +241,20 @@ class TestRandomModel:
     def test_always_valid(self, seed):
         m = random_model(GenParams(n_worlds=1 + seed % 6, n_atoms=2, seed=seed))
         assert validate_frame(m).ok
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_worlds", 0, "n_worlds must be >= 1"),
+            ("n_atoms", -1, "n_atoms must be >= 0"),
+            ("edge_density", 1.5, "edge_density must be in [0, 1]"),
+            ("max_attempts", 0, "max_attempts must be >= 1"),
+        ],
+    )
+    def test_params_out_of_range_refused(self, field, value, message):
+        with pytest.raises(ValueError) as e:
+            GenParams(**{"n_worlds": 2, "n_atoms": 1, field: value})
+        assert str(e.value) == message
 
     def test_full_density_gives_complete_transitions(self):
         m = random_model(GenParams(n_worlds=4, n_atoms=1, seed=9, edge_density=1.0))
@@ -510,17 +531,20 @@ class TestFindCountermodel:
 
 def reference_find_countermodel(f, max_worlds=3, atoms=2, budget=0, seed=0):
     """``find_countermodel`` as it was before it skipped non-leader frames:
-    the engine runs on every batch of the labelled ``model_batches``."""
+    the engine runs on every batch of the labelled ``gen._sweep``."""
     program = compile_formulas([f])
-    slots = gen._search_atoms(program.atom_slots, atoms)
+    place = gen._search_atoms(program.atom_slots, atoms)
+    generated = atom_names(len(place))
+    slots = {a: generated[j] for a, j in place.items()}  # each atom's slot name
     program = replace(program, atom_slots=[slots[a] for a in program.atom_slots])
     ops = checker.operators()
     names = list(slots)
-    generated = atom_names(len(names))
     bounds = {"max_worlds": max_worlds, "atoms": names, "budget": budget, "seed": seed}
     checked = 0
     frame = column_batch = None
-    for batch_frame, batch in gen.model_batches(max_worlds, len(names), budget, seed):
+    for _, batch_frame, batch in gen._sweep(range(1, max_worlds + 1), len(names), budget, seed):
+        if not batch:  # the end marker
+            break
         if batch_frame is not frame:
             frame, memo = batch_frame, {}
         if batch is not column_batch:
@@ -734,7 +758,7 @@ class TestFormulaGeneration:
                 assert g in pool
 
     def test_children_precede_parents(self):
-        battery = enumerate_formulas(2, ["p"], include_bottom=True)
+        battery = enumerate_formulas(2, ["p", "q"])
         seen = set()
         from ictl.syntax import children
 

@@ -2,7 +2,7 @@ import pytest
 
 import ictl.checker as checker
 from ictl.gen import enumerate_formulas, enumerate_models
-from ictl.harness import scan_models
+from ictl.harness import compile_battery, scan_models
 from ictl.model import pre_forall
 from ictl.syntax import print_formula
 
@@ -30,7 +30,8 @@ BROKEN_AX_DISAGREEMENTS = [
 def test_disagreements_pinned(monkeypatch, cap):
     monkeypatch.setattr(checker, "forall_next_set", lambda m, a: pre_forall(m, a))
     models = [m for n in (1, 2) for m in enumerate_models(n, 2)]
-    stats = scan_models(models, enumerate_formulas(2, ["p", "q"]), max_disagreements=cap)
+    battery = compile_battery(enumerate_formulas(2, ["p", "q"]))
+    stats = scan_models(models, battery, max_disagreements=cap)
     assert (stats.models, stats.verdicts) == (284, 19_176)
     found = [
         (d.model.up, d.model.succ, d.model.val, print_formula(d.formula), d.world,

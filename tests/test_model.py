@@ -98,6 +98,19 @@ class TestLoad:
         with pytest.raises(ModelFormatError, match="^not valid JSON: nested too deeply"):
             load_model("[" * 5000 + "]" * 5000)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "model document must be a JSON object"),
+            ('{"worlds": ["a"], "preorder": {}}', "'preorder' must be a list of [from, to] pairs"),
+            ('{"worlds": ["a"], "valuation": []}', "'valuation' must map world names to atom lists"),
+        ],
+    )
+    def test_wrong_container_named(self, text, message):
+        with pytest.raises(ModelFormatError) as e:
+            load_model(text)
+        assert str(e.value) == message
+
     def test_unknown_world_in_valuation(self):
         doc = dict(FOUR_WORLD_DOC, valuation={"zz": ["p"]})
         with pytest.raises(ModelFormatError, match="zz"):

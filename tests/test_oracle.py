@@ -166,6 +166,11 @@ class TestLassos:
         assert not lasso_is_path(m, Lasso((), ()))  # empty cycle
         assert not lasso_is_path(m, Lasso((m.world_index("w1"),), (m.world_index("v1"),)))
 
+    @pytest.mark.parametrize("index", [-1, 4])  # the fixture's worlds are 0 to 3
+    def test_world_index_out_of_range_rejected(self, four_world, index):
+        assert not lasso_is_path(four_world, Lasso((), (index,)))
+        assert not lasso_is_path(four_world, Lasso((index,), (0,)))
+
 
 class TestLiftPath:
     def test_length_one(self, four_world):
@@ -183,6 +188,10 @@ class TestLiftPath:
         lifted = lift_path(m, "v1", ["w1", "w2", "w2"])
         for lo, hi in zip(["w1", "w2", "w2"], lifted):
             assert m.up[m.world_index(lo)] >> m.world_index(hi) & 1
+
+    def test_requires_nonempty_prefix(self, four_world):
+        with pytest.raises(ValueError, match="^prefix must be nonempty$"):
+            lift_path(four_world, "v1", [])
 
     def test_requires_related_start(self, four_world):
         with pytest.raises(ValueError, match="does not hold"):

@@ -1,0 +1,125 @@
+"""The engine, the oracle and the batched evaluation loop against
+``shared_nothing``, a reference that shares no code with them.
+
+Two mutants of the loop that both semantics share are passed in by
+argument, with no source edited: a memo whose keys ignore the right
+operand, and one memo kept across all frames.  Under either, the
+comparing rule table of ``harness`` notes no disagreement, because the
+engine and the oracle still agree on every application they are given;
+the reference sees the wrong columns.
+"""
+
+import ast
+from functools import reduce
+from pathlib import Path
+
+import pytest
+
+import ictl.gen as gen
+import ictl.harness as harness
+import shared_nothing
+from ictl.checker import denote
+from ictl.gen import (
+    GenParams,
+    atom_names,
+    enumerate_formulas,
+    enumerate_models,
+    random_formula,
+    random_model,
+)
+from ictl.oracle import oracle_denotation
+from ictl.syntax import And, compile_formulas, run_frame
+from helpers import seeded_rng
+from shared_nothing import denotations
+
+BATTERY = enumerate_formulas(2, ["p", "q"])
+
+
+def names_of(m, mask):
+    return {w for i, w in enumerate(m.worlds) if mask >> i & 1}
+
+
+def assert_agree(m, f):
+    """``denote`` and ``oracle_denotation`` equal the reference on every
+    subformula of ``f``."""
+    want = denotations(m, [f])
+    for got in (denote(m, f), oracle_denotation(m, f)):
+        assert {g: names_of(m, mask) for g, mask in got.items()} == {g: want[g] for g in got}
+
+
+def test_imports_only_the_ast_and_the_document():
+    tree = ast.parse(Path(shared_nothing.__file__).read_text())
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("ictl")
+        for alias in node.names
+    }
+    syntax = {(m, n) for m, n in imported if m == "ictl.syntax"}
+    assert imported - syntax == {("ictl.model", "model_to_document")}
+    assert all(isinstance(getattr(shared_nothing, n), type) for _, n in syntax)  # node classes
+    assert not any(isinstance(node, ast.Import) for node in ast.walk(tree))
+
+
+def test_every_model_up_to_two_worlds():
+    whole = reduce(And, BATTERY)  # one formula whose subformulas hold the battery
+    models = [m for n in (1, 2) for m in enumerate_models(n, 2)]
+    assert len(models) == 284
+    for m in models:
+        assert_agree(m, whole)
+
+
+def test_random_models():
+    rng = seeded_rng(12)
+    for k in range(100):
+        m = random_model(GenParams(n_worlds=1 + k % 5, n_atoms=2, seed=rng.getrandbits(32)))
+        for _ in range(3):
+            assert_agree(m, random_formula(rng, 4, atom_names(2)))
+
+
+class IgnoreRightMemo(dict):
+    """A memo for ``run_frame`` on an ``n``-world frame whose keys drop the
+    right operand, which ``run_frame`` packs into their low ``n`` bits."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.right = (1 << n) - 1
+
+    def get(self, key, default=None):
+        return super().get(key & ~self.right, default)
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key & ~self.right, value)
+
+
+@pytest.mark.parametrize(
+    "memo", ["one per frame", "keys ignore the right operand", "one for all frames"]
+)
+def test_sweep_columns(memo):
+    """The ``run_frame`` columns of every batch of the labelled sweep of
+    up to two worlds, with the comparing rule table, against the
+    reference; each mutant memo is killed."""
+    shared = {}
+    memo_for = {
+        "one per frame": lambda frame: {},
+        "keys ignore the right operand": lambda frame: IgnoreRightMemo(frame.n),
+        "one for all frames": lambda frame: shared,
+    }[memo]
+    program = compile_formulas(BATTERY)
+    names = atom_names(2)
+    noted = {}
+    ops = harness._comparing_operators(noted)
+    wrong = models = 0
+    for _, frame, batch in gen._sweep(range(1, 3), 2, 0, 0):
+        if not batch:  # the end marker
+            break
+        columns = dict(zip(names, zip(*batch)))
+        cols = run_frame(program, frame, columns, len(batch), ops, memo_for(frame))
+        for i, assignment in enumerate(batch):
+            m = frame.with_valuation(dict(zip(names, assignment)))
+            want = denotations(m, program.formulas)
+            wrong += any(names_of(m, col[i]) != want[f] for f, col in zip(program.formulas, cols))
+            models += 1
+    assert models == 284
+    assert noted == {}  # engine and oracle agree on every application made
+    assert (wrong > 0) == (memo != "one per frame")

@@ -132,6 +132,11 @@ class TestParse:
             parse_formula("E[p q]")
         assert set(e.value.expected) == {"U", "R"}
 
+    def test_missing_bracket(self):
+        with pytest.raises(ParseError) as e:
+            parse_formula("E p")
+        assert (e.value.position, e.value.expected) == (2, ("[",))
+
     def test_bad_character(self):
         with pytest.raises(ParseError) as e:
             parse_formula("p @ q")
@@ -206,6 +211,10 @@ class TestSubformulas:
                 assert c in seen
             seen.add(g)
         assert subformulas(f)[-1] == f
+
+    def test_children_of_a_non_formula(self):
+        with pytest.raises(TypeError, match="^not a formula: 42$"):
+            children(42)
 
     def test_length_bounded_by_node_count(self):
         f = parse_formula("p & p & p & p")
