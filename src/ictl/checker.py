@@ -3,8 +3,8 @@
 :func:`operators` is the engine's kind-indexed rule table for
 :func:`~ictl.syntax.run`; :func:`evaluate` runs a compiled
 :class:`~ictl.syntax.Program` with it, and :func:`denote` is that run
-keyed by subformula.  A search that checks one formula on many models
-compiles it once and calls :func:`evaluate` per model.
+keyed by subformula.  A search compiles its formula once and runs this
+table with :func:`~ictl.syntax.run_frame` once per batch of a frame.
 
 The temporal operators are the classical fixpoints over R applied to the
 (already intuitionistic) subformula denotations; the universal ones are

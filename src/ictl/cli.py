@@ -19,7 +19,7 @@ import random
 import sys
 
 from .checker import UniversalFailure, _owes_evidence, check, denote
-from .gen import atom_names, find_countermodel, model_stream, random_formula
+from .gen import EngineDisagreementError, atom_names, find_countermodel, model_stream, random_formula
 from .harness import compile_battery, scan_models
 from .model import (
     BirelationalModel,
@@ -182,9 +182,14 @@ def _cmd_countermodel(args) -> tuple[int, dict, list[str]]:
             f"the search has {n_atoms} atoms (the formula's, padded to --atoms); "
             f"at most {MAX_SEARCH_ATOMS} are allowed"
         )
-    result = find_countermodel(
-        f, max_worlds=args.max_worlds, atoms=args.atoms, budget=args.budget, seed=args.seed
-    )
+    try:
+        result = find_countermodel(
+            f, max_worlds=args.max_worlds, atoms=args.atoms, budget=args.budget, seed=args.seed
+        )
+    except EngineDisagreementError as e:
+        model_doc = model_to_document(e.model)
+        doc = {"verdict": "disagreement", "witness": {"world": e.world, "model": model_doc}}
+        return 4, doc, [f"ENGINES DISAGREE at world {e.world}", json.dumps(model_doc, indent=2)]
     report = [{"models_checked": result.models_checked, "bounds": result.bounds}]
     if result.found:
         model_doc = model_to_document(result.model)
@@ -220,7 +225,9 @@ def _cmd_compare(args) -> tuple[int, dict, list[str]]:
         random_formula(rng, args.depth, names) for _ in range(COMPARE_FORMULAS_PER_RUN)
     ]
     battery = compile_battery(formulas)
-    models = model_stream(args.max_worlds, args.atoms, args.samples, args.seed ^ 0x5EED)
+    models = model_stream(
+        range(1, args.max_worlds + 1), args.atoms, args.samples, args.seed ^ 0x5EED
+    )
     stats = scan_models(models, battery, max_disagreements=3)
     entries = [
         {

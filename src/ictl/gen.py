@@ -25,9 +25,9 @@ its valuations as tuples of masks in batches of at most
 :data:`~ictl.syntax.MAX_BATCH`, then seeded random models as batches of
 one.  Each batch carries its *position*, the index of its first model in
 the labelled stream, and the sweep ends with the stream's length and no
-frame.  :func:`model_stream` flattens it for the world counts from one
-up, and :func:`enumerate_models` for one world count; ``ictl compare``
-scans :func:`model_stream`.
+frame.  :func:`model_stream` flattens it for a ``range`` of world counts,
+one model at a time; :func:`enumerate_models` is its range of one world
+count, and ``ictl compare`` scans it from one world up.
 
 :func:`find_countermodel` looks for a model and world refuting a formula,
 double-checking any hit against the path oracle before returning it.  It
@@ -120,7 +120,11 @@ _ATOM_POOL = "pqrstuvabcdefgh"
 
 
 class EngineDisagreementError(AssertionError):
-    """Fixpoint engine and path oracle returned different verdicts."""
+    """The engine refutes a formula at ``world`` of ``model``; the oracle satisfies it."""
+
+    def __init__(self, message: str, model: BirelationalModel, world: str):
+        super().__init__(message)
+        self.model, self.world = model, world
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,8 @@ class GenParams:
 
 
 def atom_names(a: int) -> list[str]:
+    if a < 0:
+        raise ValueError("a must be >= 0")
     if a <= len(_ATOM_POOL):
         return list(_ATOM_POOL[:a])
     return list(_ATOM_POOL) + [f"p{i}" for i in range(a - len(_ATOM_POOL))]
@@ -235,13 +241,13 @@ def enumerate_frames(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]
 
 def enumerate_models(n: int, a: int) -> Iterator[BirelationalModel]:
     """Every valid model with ``n`` worlds and ``a`` atoms, deterministically:
-    the :func:`model_stream` of ``n`` worlds, without the smaller ones.
+    the :func:`model_stream` of ``range(n, n + 1)``, none for ``n < 1``.
 
     Worlds are named ``w0 .. w{n-1}``; atoms come from :func:`atom_names`.
     The models of one frame share its masks (see
     :meth:`~ictl.model.BirelationalModel.with_valuation`).
     """
-    yield from _models(range(max(n, 1), n + 1), a, 0, 0)
+    yield from model_stream(range(max(n, 1), n + 1), a)
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +367,10 @@ def _sweep(
 
 
 def model_stream(
-    max_worlds: int, atoms: int, samples: int = 0, seed: int = 0
+    worlds: range, atoms: int, samples: int = 0, seed: int = 0
 ) -> Iterator[BirelationalModel]:
-    """Every valid model with up to ``max_worlds`` worlds, then ``samples``
-    random models: the labelled :func:`_sweep` one model at a time."""
-    yield from _models(range(1, max_worlds + 1), atoms, samples, seed)
-
-
-def _models(worlds: range, atoms: int, samples: int, seed: int) -> Iterator[BirelationalModel]:
-    """The labelled :func:`_sweep` of ``worlds`` one model at a time."""
+    """Every valid model of each world count in ``worlds``, then ``samples``
+    random ones of ``worlds.stop`` worlds and up: :func:`_sweep`, flattened."""
     names = atom_names(atoms)
     for _, frame, batch in _sweep(worlds, atoms, samples, seed):
         for assignment in batch:
@@ -506,7 +507,7 @@ def _countermodel(
     world = m.worlds[next(iter_bits(m.full & ~mask))]
     if oracle_check(m, world, f, validate=False):
         raise EngineDisagreementError(
-            f"engine refutes {f} at {world} of {m!r} but the oracle satisfies it"
+            f"engine refutes {f} at {world} of {m!r} but the oracle satisfies it", m, world
         )
     return SearchResult("countermodel", m, world, checked, bounds)
 

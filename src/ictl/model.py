@@ -70,7 +70,6 @@ __all__ = [
     "c2_holds",
     "validate_frame",
     "ensure_valid",
-    "up_set",
     "up_interior",
     "pre_exists",
     "pre_forall",
@@ -338,15 +337,8 @@ class BirelationalModel:
         self.full = (1 << self.n) - 1
 
     def with_valuation(self, val: dict[str, int]) -> "BirelationalModel":
-        """The same frame under valuation ``val``; every frame field is shared."""
-        m = object.__new__(BirelationalModel)
-        m.worlds, m.index, m.up, m.down, m.succ, m.pred = (
-            self.worlds, self.index, self.up, self.down, self.succ, self.pred
-        )
-        m.n, m.full = self.n, self.full
-        m.val = val
-        m.atoms = tuple(sorted(val))
-        return m
+        """The same frame under valuation ``val``, sharing its names and masks."""
+        return BirelationalModel(self.worlds, self.up, self.succ, val, self.pred, self.index, self.down)
 
     def world_index(self, name: str) -> int:
         try:
@@ -428,11 +420,6 @@ def with_identity_preorder(m: BirelationalModel) -> BirelationalModel:
 
 # ---------------------------------------------------------------------------
 # Set operators
-
-def up_set(m: BirelationalModel, world: str) -> int:
-    """Worlds P-above ``world``, itself included."""
-    return m.up[m.world_index(world)]
-
 
 def up_interior(m: BirelationalModel, mask: int) -> int:
     """Worlds whose whole up-set lies inside ``mask``."""

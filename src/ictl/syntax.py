@@ -43,10 +43,10 @@ is a frame: each node yields a column of masks, one per valuation of the
 frame in the batch (callers batch at most :data:`MAX_BATCH`).  It
 computes atoms, ``false``, ``&`` and ``|`` itself, as list comprehensions
 over the columns, and hands every other node to a kind-indexed operator
-table; the fixpoint engine, the path oracle and the classical semantics
-differ only in their tables.  It memoizes every operator result by the
-operator and its child masks, in a memo the caller passes (kept across
-all batches of a frame), and calls the table only on a miss.  :func:`run`
+table: the engine's or the oracle's, which classical CTL runs over the
+identity preorder.  It memoizes every operator result by the operator
+and its child masks, in a memo the caller passes (kept across all
+batches of a frame), and calls the table only on a miss.  :func:`run`
 evaluates one model, as a batch of one with a memo of its own.
 """
 

@@ -113,7 +113,7 @@ def reference_search(f, max_worlds=3, atoms=2, budget=0, seed=0):
     ops = checker.operators()
     frame = None
     checked = 0
-    for m in model_stream(max_worlds, len(slots), budget, seed):
+    for m in model_stream(range(1, max_worlds + 1), len(slots), budget, seed):
         checked += 1
         if (m.up, m.succ) != frame:
             frame, memo = (m.up, m.succ), {}
@@ -186,7 +186,8 @@ def test_model_stream_equals_the_flattened_batches():
         for _, frame, batch in gen._sweep(range(1, 3), 2, 9, 4)
         for assignment in batch
     ]
-    assert [(m.up, m.succ, m.val) for m in model_stream(2, 2, samples=9, seed=4)] == flattened
+    models = model_stream(range(1, 3), 2, samples=9, seed=4)
+    assert [(m.up, m.succ, m.val) for m in models] == flattened
 
 
 @pytest.mark.parametrize("cap", [100, 4])

@@ -17,6 +17,7 @@ from ictl.cli import main
 from ictl.checker import denote
 from ictl.fixtures import FOUR_WORLD_DOC, four_world_model
 from ictl.model import pre_forall
+from ictl.oracle import oracle_check
 from ictl.syntax import parse_formula, print_formula
 
 
@@ -334,6 +335,24 @@ class TestCountermodel:
             "--engine", "both",
         )
         assert code2 == 1
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_engine_disagreement_exit_4(self, capsys, monkeypatch, fmt):
+        # drop the upward interior from the universal next-step rule
+        monkeypatch.setattr(checker, "forall_next_set", lambda m, a: pre_forall(m, a))
+        text = "AX p -> (q -> AX p)"
+        code, out, _ = run(capsys, "--format", fmt, "countermodel", text, "--max-worlds", "2")
+        assert code == 4
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["verdict"] == "disagreement"
+            world, model_doc = doc["witness"]["world"], doc["witness"]["model"]
+        else:
+            head, body = out.split("\n", 1)
+            assert head.startswith("ENGINES DISAGREE at world ")
+            world, model_doc = head.split()[4].rstrip(":"), json.loads(body)
+        m = model.model_from_raw(model.load_model(json.dumps(model_doc)))
+        assert oracle_check(m, world, parse_formula(text))
 
     def test_budget_exceeded_exit_5(self, capsys):
         code, out, _ = run(

@@ -119,6 +119,15 @@ class TestEnumerate:
             list(enumerate_frames(n))
         assert list(enumerate_models(n, 2)) == []
 
+    @pytest.mark.parametrize("a", [-1, -3, -20])
+    def test_negative_atom_count_refused(self, a):
+        with pytest.raises(ValueError, match="^a must be >= 0$"):
+            atom_names(a)
+        with pytest.raises(ValueError, match="^a must be >= 0$"):
+            list(enumerate_models(1, a))
+        with pytest.raises(ValueError, match="^a must be >= 0$"):
+            find_countermodel(parse_formula("p"), max_worlds=1, atoms=a)
+
     def test_preorder_count_small(self):
         assert len(enumerate_preorders(1)) == 1
         assert len(enumerate_preorders(2)) == 4
@@ -441,7 +450,7 @@ def random_product(rng):
 
 class TestModelStream:
     def test_exhaustive_then_samples(self):
-        models = list(model_stream(2, 1, samples=4, seed=3))
+        models = list(model_stream(range(1, 3), 1, samples=4, seed=3))
         exhaustive = [m for n in (1, 2) for m in enumerate_models(n, 1)]
         assert len(models) == len(exhaustive) + 4
         for m, e in zip(models, exhaustive):
@@ -452,7 +461,8 @@ class TestModelStream:
 
     def test_seeded(self):
         def frames(seed):
-            return [(m.up, m.succ, m.val) for m in model_stream(0, 2, samples=5, seed=seed)]
+            models = model_stream(range(1, 1), 2, samples=5, seed=seed)
+            return [(m.up, m.succ, m.val) for m in models]
 
         assert frames(4) == frames(4)
         assert frames(4) != frames(5)

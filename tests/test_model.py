@@ -33,7 +33,6 @@ from ictl.model import (
     pre_exists,
     pre_forall,
     up_interior,
-    up_set,
     validate_frame,
     with_identity_preorder,
 )
@@ -145,12 +144,12 @@ class TestClosePreorder:
 class TestSetOperators:
     def test_up_set(self, four_world):
         m = four_world
-        assert m.names(up_set(m, "w1")) == ["w1", "v1"]
-        assert m.names(up_set(m, "v2")) == ["v2"]
+        assert m.names(m.up[m.world_index("w1")]) == ["w1", "v1"]
+        assert m.names(m.up[m.world_index("v2")]) == ["v2"]
 
     def test_up_set_contains_world(self, four_world):
         for w in four_world.worlds:
-            assert up_set(four_world, w) >> four_world.world_index(w) & 1
+            assert four_world.up[four_world.world_index(w)] >> four_world.world_index(w) & 1
 
     def test_up_interior_full(self, four_world):
         assert up_interior(four_world, four_world.full) == four_world.full

@@ -28,7 +28,7 @@ from ictl.gen import (
     random_model,
 )
 from ictl.oracle import oracle_denotation
-from ictl.syntax import And, compile_formulas, run_frame
+from ictl.syntax import MAX_BATCH, And, compile_formulas, parse_formula, run_frame
 from helpers import seeded_rng
 from shared_nothing import denotations
 
@@ -92,34 +92,63 @@ class IgnoreRightMemo(dict):
         super().__setitem__(key & ~self.right, value)
 
 
-@pytest.mark.parametrize(
-    "memo", ["one per frame", "keys ignore the right operand", "one for all frames"]
-)
-def test_sweep_columns(memo):
-    """The ``run_frame`` columns of every batch of the labelled sweep of
-    up to two worlds, with the comparing rule table, against the
-    reference; each mutant memo is killed."""
+def memo_for(kind):
+    """A function from a frame to its memo: a fresh one, or a mutant."""
     shared = {}
-    memo_for = {
+    return {
         "one per frame": lambda frame: {},
         "keys ignore the right operand": lambda frame: IgnoreRightMemo(frame.n),
         "one for all frames": lambda frame: shared,
-    }[memo]
-    program = compile_formulas(BATTERY)
-    names = atom_names(2)
+    }[kind]
+
+
+def count_wrong(sweep, names, program, memo):
+    """Run ``program`` over the batches of ``sweep`` with the comparing
+    rule table, one memo per frame from ``memo_for(memo)``, as
+    ``find_countermodel`` does; the number of models, and of models where
+    some column differs from the reference."""
+    new_memo = memo_for(memo)
     noted = {}
     ops = harness._comparing_operators(noted)
     wrong = models = 0
-    for _, frame, batch in gen._sweep(range(1, 3), 2, 0, 0):
+    last = None
+    for _, frame, batch in sweep:
         if not batch:  # the end marker
             break
+        if frame is not last:
+            last, frame_memo = frame, new_memo(frame)
         columns = dict(zip(names, zip(*batch)))
-        cols = run_frame(program, frame, columns, len(batch), ops, memo_for(frame))
+        cols = run_frame(program, frame, columns, len(batch), ops, frame_memo)
         for i, assignment in enumerate(batch):
             m = frame.with_valuation(dict(zip(names, assignment)))
             want = denotations(m, program.formulas)
             wrong += any(names_of(m, col[i]) != want[f] for f, col in zip(program.formulas, cols))
             models += 1
-    assert models == 284
     assert noted == {}  # engine and oracle agree on every application made
+    return models, wrong
+
+
+@pytest.mark.parametrize(
+    "memo", ["one per frame", "keys ignore the right operand", "one for all frames"]
+)
+def test_sweep_columns(memo):
+    """The ``run_frame`` columns of every batch of the labelled sweep of
+    up to two worlds against the reference; each mutant memo is killed."""
+    sweep = gen._sweep(range(1, 3), 2, 0, 0)
+    models, wrong = count_wrong(sweep, atom_names(2), compile_formulas(BATTERY), memo)
+    assert models == 284
+    assert (wrong > 0) == (memo != "one per frame")
+
+
+@pytest.mark.parametrize("memo", ["one per frame", "keys ignore the right operand"])
+def test_split_frame_columns(memo):
+    """The one-world frame with 14 atoms, whose 2**14 valuations the sweep
+    hands over in chunks of ``MAX_BATCH`` that share the frame's memo,
+    against the reference on every model; the mutant memo is killed."""
+    sweep = list(gen._sweep(range(1, 2), 14, 0, 0))
+    assert [len(batch) for _, _, batch in sweep] == [MAX_BATCH] * (2**14 // MAX_BATCH) + [0]
+    battery = [parse_formula(text) for text in ("a3 -> a12", "E[a1 U a13]", "AX a7 | ~a0")]
+    names = [f"a{i}" for i in range(14)]
+    models, wrong = count_wrong(sweep, names, compile_formulas(battery), memo)
+    assert models == 2**14
     assert (wrong > 0) == (memo != "one per frame")
