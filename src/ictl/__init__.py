@@ -42,7 +42,7 @@ from .model import (
     validate_frame,
 )
 from .checker import CheckOutcome, check, denote, valid_in_model
-from .oracle import Lasso, classical_check, enumerate_lassos, lift_path, oracle_check
+from .oracle import Lasso, classical_denotation, enumerate_lassos, lift_path, oracle_check
 from .gen import (
     GenParams,
     SearchResult,

@@ -1,10 +1,10 @@
 """Fixpoint labeling engine.
 
 :func:`operators` is the engine's kind-indexed rule table for
-:func:`~ictl.syntax.run`; :func:`evaluate` runs a compiled
-:class:`~ictl.syntax.Program` with it, and :func:`denote` is that run
-keyed by subformula.  A search compiles its formula once and runs this
-table with :func:`~ictl.syntax.run_frame` once per batch of a frame.
+:func:`~ictl.syntax.run`; :func:`denote` and :func:`check` run it over
+the formula's compiled :class:`~ictl.syntax.Program`, and :func:`denote`
+keys that run by subformula.  A search compiles its formula once and runs
+this table with :func:`~ictl.syntax.run_frame` once per batch of a frame.
 
 The temporal operators are the classical fixpoints over R applied to the
 (already intuitionistic) subformula denotations; the universal ones are
@@ -55,7 +55,8 @@ classical dual holds at some P-greater world, with ~AX f = EX ~f,
 ~A[f U g] = E[~f R ~g] and ~A[f R g] = E[~f U ~g], so its evidence is the
 dual's walk from the lowest such world, the counterexample shape of
 Clarke, Jha, Lu and Veith.  So evidence exists for every verdict it
-explains.
+explains, and :func:`check` returns it only once the oracle's lasso
+predicates accept it, as in Namjoshi's certifying model checkers.
 """
 
 from __future__ import annotations
@@ -74,14 +75,13 @@ from .model import (
     pre_forall,
     up_interior,
 )
-from .oracle import Lasso
-from .syntax import _AR, _AU, _AX, _ER, _EU, _EX, _IMP, _SYNTAX, Formula, Program, compile_formulas, run
+from .oracle import Lasso, lasso_is_path, lasso_satisfies_release, lasso_satisfies_until
+from .syntax import _AR, _AU, _AX, _ER, _EU, _EX, _IMP, _SYNTAX, Formula, compile_formulas, run
 
 __all__ = [
     "lfp",
     "gfp",
     "operators",
-    "evaluate",
     "denote",
     "check",
     "valid_in_model",
@@ -187,27 +187,19 @@ def operators() -> tuple[Callable | None, ...]:
     )
 
 
-def evaluate(m: BirelationalModel, program: Program) -> list[int]:
-    """Denotation bitmask of every node of ``program``, in table order.
-
-    The model is not validated.
-    """
-    return run(program, m, operators())
-
-
 def denote(
     m: BirelationalModel, f: Formula, *, validate: bool = True
 ) -> dict[Formula, int]:
     """Denotation bitmask for every distinct subformula of ``f``, in
     :func:`~ictl.syntax.subformulas` order.
 
-    ``validate=False`` skips frame validation for callers that already
-    guarantee a valid model (generators, bulk scans).
+    ``validate=False`` skips frame validation for a caller that has
+    already validated ``m``, as ``ictl denote`` has.
     """
     if validate:
         ensure_valid(m)
     program = compile_formulas([f])
-    return dict(zip(program.formulas, evaluate(m, program)))
+    return dict(zip(program.formulas, run(program, m, operators())))
 
 
 def valid_in_model(m: BirelationalModel, f: Formula, *, validate: bool = True) -> bool:
@@ -237,19 +229,24 @@ def check(
     evidence for it: a witness path for a satisfied existential, a
     universal failure for a failed universal.
 
+    Evidence that the oracle's lasso predicates reject over the child
+    masks (:func:`_shows`) is dropped, leaving the verdict without it.
+
     ``validate=False`` skips frame validation, as in :func:`denote`.
     """
     if validate:
         ensure_valid(m)
     w = m.world_index(world)
     program = compile_formulas([f])
-    sets = evaluate(m, program)
+    sets = run(program, m, operators())
     kind, l, r = program.nodes[-1]
     sat = bool(sets[-1] >> w & 1)
     if not _owes_evidence(f, sat):
         return CheckOutcome(sat)
     explain = _path_witness if sat else _universal_failure
-    return CheckOutcome(sat, explain(m, kind, w, sets[l], sets[r] if r >= 0 else 0))
+    a, b = sets[l], sets[r] if r >= 0 else 0
+    witness = explain(m, kind, w, a, b)
+    return CheckOutcome(sat, witness if _shows(m, kind, w, a, b, witness) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -330,3 +327,25 @@ def _universal_failure(
     if x is None:
         return None
     return UniversalFailure(m.worlds[x], _path_witness(m, _DUALS[kind], x, na, nb))
+
+
+def _shows(
+    m: BirelationalModel, kind: int, w: int, a: int, b: int, witness: Lasso | UniversalFailure | None
+) -> bool:
+    """Whether ``witness`` is evidence for the temporal ``kind`` at ``w``
+    over the child masks ``a`` and ``b``, by the oracle's lasso predicates:
+    a path from ``w`` along which the existential ``kind`` holds
+    classically, or, against a universal, a P-greater world with such a
+    path for the classical dual over ``~a`` and ``~b``."""
+    if isinstance(witness, UniversalFailure):
+        x = m.index[witness.world]
+        if not m.up[w] >> x & 1:
+            return False
+        kind, w, a, b = _DUALS[kind], x, complement(m, a), complement(m, b)
+        witness = witness.lasso
+    if witness is None or not lasso_is_path(m, witness) or witness.states()[0] != w:
+        return False
+    if kind == _EX:
+        return bool(a >> (witness.states() + witness.cycle)[1] & 1)
+    holds = lasso_satisfies_until if kind == _EU else lasso_satisfies_release
+    return holds(m, witness, a, b)

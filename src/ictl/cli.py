@@ -48,7 +48,7 @@ _COUNT_OPTIONS = ("max_worlds", "atoms", "budget", "samples", "depth")
 
 
 class _UsageError(ValueError):
-    """A command-line value out of range."""
+    """A command-line value out of range, or a world the model lacks."""
 
 
 class _ArgumentError(Exception):
@@ -130,6 +130,8 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
     m = _read_model(args.model)
     ensure_valid(m)
     f = parse_formula(args.formula)
+    if args.world not in m.index:
+        raise _UsageError(f"unknown world {args.world!r}")
     verdicts: dict[str, bool] = {}
     witness = None
     if args.engine != "oracle":
@@ -332,9 +334,8 @@ def main(argv: list[str] | None = None) -> int:
         code, doc, lines = args.handler(args)
     except _ArgumentError as e:
         code, doc, lines, is_error = 2, {"error": str(e)}, [e.text], True
-    except (ParseError, ModelFormatError, _UsageError, KeyError, OSError) as e:
-        msg = e.args[0] if isinstance(e, KeyError) and e.args else e  # str(KeyError) quotes
-        code, doc, lines, is_error = 2, {"error": str(msg)}, [f"error: {msg}"], True
+    except (ParseError, ModelFormatError, _UsageError, OSError) as e:
+        code, doc, lines, is_error = 2, {"error": str(e)}, [f"error: {e}"], True
     except InvalidModelError as e:
         code = 3
         doc = {"verdict": "invalid", "witness": None, "report": _violations_doc(e.report)}

@@ -50,7 +50,6 @@ __all__ = [
     "oracle_denotation",
     "oracle_check",
     "classical_denotation",
-    "classical_check",
     "implication_worlds",
     "exists_next_worlds",
     "forall_next_worlds",
@@ -347,8 +346,3 @@ def classical_denotation(m: BirelationalModel, f: Formula) -> dict[Formula, int]
     """Plain CTL semantics over R alone: the oracle on ``m`` with the
     preorder read as equality."""
     return oracle_denotation(with_identity_preorder(m), f, validate=False)
-
-
-def classical_check(m: BirelationalModel, world: str, f: Formula) -> bool:
-    """Standard CTL verdict over the transition graph, ignoring the preorder."""
-    return oracle_check(with_identity_preorder(m), world, f, validate=False)

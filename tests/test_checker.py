@@ -16,12 +16,18 @@ from ictl.checker import (
     UniversalFailure,
     check,
     denote,
-    evaluate,
     gfp,
     lfp,
     valid_in_model,
 )
-from ictl.gen import GenParams, enumerate_models, enumerate_preorders, random_model
+from ictl.gen import (
+    GenParams,
+    enumerate_frames,
+    enumerate_models,
+    enumerate_preorders,
+    random_model,
+    upward_closed_masks,
+)
 from ictl.model import (
     BirelationalModel,
     InvalidModelError,
@@ -31,9 +37,10 @@ from ictl.model import (
     pre_exists,
     pre_forall,
     up_interior,
+    validate_frame,
 )
 from ictl.oracle import Lasso
-from ictl.syntax import _IMP, Atom, Implies, compile_formulas, parse_formula, subformulas
+from ictl.syntax import _IMP, Atom, Implies, compile_formulas, parse_formula, run, subformulas
 
 
 def mask(m, *names):
@@ -264,6 +271,46 @@ class TestUnfoldingLaws:
             assert dr[lhs_r] == drr[rhs_r]
 
 
+def test_c3_iff_pre_forall_keeps_upsets():
+    """C3 (x P y and y R z imply x R u and u P z for some u) holds iff
+    ``pre_forall`` maps upsets to upsets, pinned on every frame with
+    n <= 3.
+
+    If C3 holds, x has all its successors in an upset a and x P y R z,
+    then x R u P z for some u, which lies in a, and so does z.  So on a C3
+    frame the until and release iterates from upsets stay upsets, the
+    interiors change nothing, and AX, A[U] and A[R] are the classical
+    next-state, least and greatest fixpoints.  If C3 fails at (x, y, z),
+    no successor of x lies in the down-set of z, so the upset W - down(z)
+    contains ``pre_forall`` at x but not at y, with x P y.
+    """
+    frames = c3 = until_changed = release_changed = 0
+    for n in (1, 2, 3):
+        names = tuple(f"w{i}" for i in range(n))
+        for up, succ in enumerate_frames(n):
+            frames += 1
+            m = BirelationalModel(names, up, succ, {})
+            ups = upward_closed_masks(up)
+            pairs = [(a, b) for a in ups for b in ups]
+            until = [lfp(lambda z: b | (a & pre_forall(m, z))) for a, b in pairs]
+            release = [gfp(lambda z: b & (a | pre_forall(m, z)), m.full) for a, b in pairs]
+            report = validate_frame(m, check_c3=True)
+            if report.ok:
+                c3 += 1
+                assert all(checker.forall_next_set(m, a) == pre_forall(m, a) for a in ups)
+                assert [checker.forall_until_set(m, a, b) for a, b in pairs] == until
+                assert [checker.forall_release_set(m, a, b) for a, b in pairs] == release
+                continue
+            assert report.rules() == {"C3"}
+            x, y, z = (m.world_index(w) for w in report.violations[0].witness)
+            a = m.full & ~m.down[z]
+            assert a in ups and pre_forall(m, a) >> x & 1 and not pre_forall(m, a) >> y & 1
+            until_changed += [checker.forall_until_set(m, a, b) for a, b in pairs] != until
+            release_changed += [checker.forall_release_set(m, a, b) for a, b in pairs] != release
+    assert (frames, c3, frames - c3) == (3442, 2102, 1340)
+    assert (until_changed, release_changed) == (150, 243)
+
+
 class TestCheck:
     def test_satisfied(self, four_world):
         assert check(four_world, "w1", parse_formula("A[p U q]")).satisfied
@@ -346,13 +393,13 @@ class TestCompiledEvaluation:
     def test_evaluate_matches_denote(self, four_world):
         f = parse_formula("A[p U q] -> q | (p & AX A[p U q])")
         program = compile_formulas([f])
-        assert evaluate(four_world, program) == list(denote(four_world, f).values())
+        assert run(program, four_world, checker.operators()) == list(denote(four_world, f).values())
         assert list(denote(four_world, f)) == subformulas(f)
 
     def test_evaluate_battery(self, four_world):
         texts = ["E[p U q]", "AX p -> EX q", "A[q R p] | false"]
         program = compile_formulas(parse_formula(t) for t in texts)
-        vals = dict(zip(program.formulas, evaluate(four_world, program)))
+        vals = dict(zip(program.formulas, run(program, four_world, checker.operators())))
         for t in texts:
             f = parse_formula(t)
             assert vals[f] == denote(four_world, f)[f]
@@ -396,7 +443,7 @@ class TestDispatch:
 
         monkeypatch.setattr(checker, "implication_set", counting)
         program = compile_formulas([parse_formula("~~~~p")])
-        vals = evaluate(four_world, program)
+        vals = run(program, four_world, checker.operators())
         applied = [(vals[l], vals[r]) for kind, l, r in program.nodes if kind >= _IMP]
         assert len(applied) == 4  # ~~~p is ~p, so ~~~~p repeats the application of ~~p
         assert sorted(calls) == sorted(set(applied))

@@ -113,6 +113,26 @@ class TestCheck:
         code, _, err = run(capsys, "check", four_world_path, "zz", "p")
         assert code == 2
         assert "zz" in err
+        for engine in ("fixpoint", "oracle", "both"):
+            argv = ["check", four_world_path, "zz", "p", "--engine", engine]
+            assert run(capsys, *argv) == (2, "", "error: unknown world 'zz'\n")
+            code, out, _ = run(capsys, "--format", "json", *argv)
+            assert (code, json.loads(out)) == (2, {
+                "command": "check",
+                "error": "unknown world 'zz'",
+                "verdict": None,
+                "witness": None,
+                "report": [],
+            })
+
+    def test_internal_key_error_propagates(self, monkeypatch, four_world_path):
+        # only a world name the model lacks is the user's error
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "check", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(["check", four_world_path, "w1", "p"])
 
     def test_parse_error_exit_2(self, capsys, four_world_path):
         code, _, err = run(capsys, "check", four_world_path, "w1", "p ->")

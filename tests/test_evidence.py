@@ -53,6 +53,7 @@ from ictl.syntax import (
     _IMP,
     compile_formulas,
     parse_formula,
+    run,
 )
 
 
@@ -350,12 +351,9 @@ UNEXPLAINED = {
 }
 
 
-@pytest.mark.parametrize("fmt", ["human", "json"])
-@pytest.mark.parametrize("rule", UNEXPLAINED)
-def test_verdict_without_its_evidence_exits_4(monkeypatch, capsys, four_world_path, rule, fmt):
-    stub, text, claim = UNEXPLAINED[rule]
-    monkeypatch.setattr(checker, rule, stub)
-    code = main(["--format", fmt, "check", four_world_path, "v2", text])
+def assert_no_evidence(capsys, code, fmt, claim):
+    """``main`` exited 4 with verdict ``no evidence`` on the engine's
+    ``claim``."""
     out, err = capsys.readouterr()
     assert (code, err) == (4, "")
     if fmt == "human":
@@ -364,6 +362,40 @@ def test_verdict_without_its_evidence_exits_4(monkeypatch, capsys, four_world_pa
         doc = json.loads(out)
         assert (doc["verdict"], doc["witness"]) == ("no evidence", None)
         assert doc["report"] == [{"engine": "fixpoint", "satisfied": claim}]
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+@pytest.mark.parametrize("rule", UNEXPLAINED)
+def test_verdict_without_its_evidence_exits_4(monkeypatch, capsys, four_world_path, rule, fmt):
+    stub, text, claim = UNEXPLAINED[rule]
+    monkeypatch.setattr(checker, rule, stub)
+    code = main(["--format", fmt, "check", four_world_path, "v2", text])
+    assert_no_evidence(capsys, code, fmt, claim)
+
+
+# a wrong walk, and evidence it gives that check must not return:
+# the self-loop at v2, which starts at neither world below, and the
+# self-loop at the walk's start, which is no path at w1 and at v1 ends
+# its first step in p
+WRONG_WALKS = {
+    "starts at v2": lambda m, w, steps, stay: Lasso((), (3,)),
+    "loops at its start": lambda m, w, steps, stay: Lasso((), (w,)),
+}
+# formula -> (world, the engine's claim): true EX q owes a path from w1,
+# false AX p a P-greater world with a path into ~p
+DROPPED = {"EX q": ("w1", True), "AX p": ("v1", False)}
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+@pytest.mark.parametrize("text", DROPPED)
+@pytest.mark.parametrize("walk", WRONG_WALKS)
+def test_unchecked_evidence_is_dropped(monkeypatch, capsys, four_world_path, walk, text, fmt):
+    world, claim = DROPPED[text]
+    assert check(four_world_model(), world, parse_formula(text)).witness is not None
+    monkeypatch.setattr(checker, "_walk", WRONG_WALKS[walk])
+    assert check(four_world_model(), world, parse_formula(text)) == CheckOutcome(claim, None)
+    code = main(["--format", fmt, "check", four_world_path, world, text])
+    assert_no_evidence(capsys, code, fmt, claim)
 
 
 EXISTENTIAL_STUBS = {
@@ -383,7 +415,7 @@ def test_stubbed_existential_rule_gives_a_path_or_none(monkeypatch, capsys, four
     for text in EXISTENTIAL_STUBS[rule]:
         f = parse_formula(text)
         program = compile_formulas([f])
-        sets = checker.evaluate(m, program)
+        sets = run(program, m, checker.operators())
         kind, l, r = program.nodes[-1]
         a, b = sets[l], sets[r] if r >= 0 else 0
         for w, world in enumerate(m.worlds):

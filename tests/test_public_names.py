@@ -19,7 +19,6 @@ def test_every_exported_name_resolves(name):
     [
         ("checker", "lfp"),
         ("checker", "gfp"),
-        ("checker", "evaluate"),
         ("checker", "operators"),
         ("checker", "forall_next_set"),
         ("oracle", "classical_denotation"),

@@ -1,12 +1,14 @@
 """The engine, the oracle and the batched evaluation loop against
 ``shared_nothing``, a reference that shares no code with them.
 
-Two mutants of the loop that both semantics share are passed in by
+Four mutants of the loop that both semantics share are passed in by
 argument, with no source edited: a memo whose keys ignore the right
-operand, and one memo kept across all frames.  Under either, the
-comparing rule table of ``harness`` notes no disagreement, because the
-engine and the oracle still agree on every application they are given;
-the reference sees the wrong columns.
+operand, one memo kept across all frames, a program whose ``&`` nodes
+that read one atom's node are ``|`` nodes, and batch columns built from
+the batch's valuations rotated by one row.  Under each, the comparing
+rule table of ``harness`` notes no disagreement, because the engine and
+the oracle still agree on every application they are given; the
+reference sees the wrong columns.
 """
 
 import ast
@@ -28,7 +30,17 @@ from ictl.gen import (
     random_model,
 )
 from ictl.oracle import oracle_denotation
-from ictl.syntax import MAX_BATCH, And, compile_formulas, parse_formula, run_frame
+from ictl.syntax import (
+    _AND,
+    _ATOM,
+    _OR,
+    MAX_BATCH,
+    And,
+    Program,
+    compile_formulas,
+    parse_formula,
+    run_frame,
+)
 from helpers import seeded_rng
 from shared_nothing import denotations
 
@@ -102,11 +114,24 @@ def memo_for(kind):
     }[kind]
 
 
-def count_wrong(sweep, names, program, memo):
+def and_as_or(program, slot):
+    """``program`` with every ``&`` node that reads the node of atom slot
+    ``slot`` turned into an ``|`` node."""
+    atom = program.nodes.index((_ATOM, slot, -1))
+    nodes = [(_OR if kind == _AND and atom in (l, r) else kind, l, r) for kind, l, r in program.nodes]
+    return Program(program.formulas, nodes, program.atom_slots)
+
+
+def count_wrong(sweep, names, program, memo="one per frame", ran=None, rotate=0):
     """Run ``program`` over the batches of ``sweep`` with the comparing
     rule table, one memo per frame from ``memo_for(memo)``, as
     ``find_countermodel`` does; the number of models, and of models where
-    some column differs from the reference."""
+    some column differs from the reference.
+
+    Two loop mutants come in by argument: ``ran``, a program run in
+    ``program``'s place, and ``rotate``, the rows by which each batch's
+    columns are rotated.  The reference always evaluates
+    ``program.formulas`` on each row's own valuation."""
     new_memo = memo_for(memo)
     noted = {}
     ops = harness._comparing_operators(noted)
@@ -117,8 +142,9 @@ def count_wrong(sweep, names, program, memo):
             break
         if frame is not last:
             last, frame_memo = frame, new_memo(frame)
-        columns = dict(zip(names, zip(*batch)))
-        cols = run_frame(program, frame, columns, len(batch), ops, frame_memo)
+        rows = batch[rotate:] + batch[:rotate]
+        columns = dict(zip(names, zip(*rows)))
+        cols = run_frame(ran or program, frame, columns, len(batch), ops, frame_memo)
         for i, assignment in enumerate(batch):
             m = frame.with_valuation(dict(zip(names, assignment)))
             want = denotations(m, program.formulas)
@@ -152,3 +178,21 @@ def test_split_frame_columns(memo):
     models, wrong = count_wrong(sweep, names, compile_formulas(battery), memo)
     assert models == 2**14
     assert (wrong > 0) == (memo != "one per frame")
+
+
+# the arguments of count_wrong that make each loop mutant, given the program
+LOOP_MUTANTS = {
+    "& read as | for p": lambda program: {"ran": and_as_or(program, 0)},
+    "rows off by one": lambda program: {"rotate": 1},
+}
+
+
+@pytest.mark.parametrize("mutant", LOOP_MUTANTS)
+def test_loop_mutants(mutant):
+    """Each loop mutant, over the labelled sweep of up to two worlds, is
+    killed by the reference."""
+    sweep = gen._sweep(range(1, 3), 2, 0, 0)
+    program = compile_formulas(BATTERY)
+    models, wrong = count_wrong(sweep, atom_names(2), program, **LOOP_MUTANTS[mutant](program))
+    assert models == 284
+    assert wrong > 0
