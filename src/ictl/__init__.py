@@ -35,14 +35,13 @@ from .model import (
     ValidationReport,
     Violation,
     build_model,
-    close_preorder,
     load_model,
     model_from_raw,
     model_to_document,
     validate_frame,
 )
 from .checker import CheckOutcome, check, denote, valid_in_model
-from .oracle import Lasso, classical_denotation, enumerate_lassos, lift_path, oracle_check
+from .oracle import Lasso, classical_denotation, lift_path, oracle_check
 from .gen import (
     GenParams,
     SearchResult,

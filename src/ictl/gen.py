@@ -55,6 +55,21 @@ its model are those of a scan of every frame.  ``ictl compare`` keeps the
 labelled sweep, because it compares the engine and the oracle on every
 labelled model, and a model skipped as the image of another is a
 comparison not made.
+
+A preorder's leaders depend on nothing but the preorder, so each is
+found once per process: the first leader stream over a class-first
+preorder of at most three worlds that runs to its end records, in
+:data:`_LEADERS`, the preorder's frame count and each leader's ``succ``
+with its index among the preorder's frames, and later leader sweeps
+replay that record without :func:`_transitions` or the automorphism
+test.  This pays only where one process runs several searches, as a
+library caller proving a list of formulas does; a process that runs one
+search, as the ``ictl`` command does, visits each preorder once and
+reads no record.  A stream stopped early, as a search stops at its hit,
+records nothing; the labelled sweep neither reads nor writes the record.
+All of n <= 3 is 648 leaders.  Four-world preorders stream afresh every
+time: they have 89,977 leaders, about 14 MiB, which a single 4-world
+search would build and never read.
 """
 
 from __future__ import annotations
@@ -308,6 +323,43 @@ def random_model(params: GenParams) -> BirelationalModel:
     return BirelationalModel(worlds, tuple(up), tuple(succ), val)
 
 
+_RECORDED_WORLDS = 3  # the most worlds of a preorder whose leaders are recorded
+# a recorded preorder's frame count and (k, succ) per leader: see _leader_succs
+_LEADERS: dict[tuple[int, ...], tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]] = {}
+
+
+def _leader_succs(
+    up: tuple[int, ...], down: Sequence[int], automorphisms: Sequence[Sequence[int]]
+) -> Iterator[tuple[int, tuple[int, ...] | None]]:
+    """``(k, succ)`` for each leader frame of the class-first preorder
+    ``up``, ``k`` being its index in :func:`_transitions` order, then
+    ``(frames, None)`` with the preorder's frame count.
+
+    A leader is a ``succ`` no image under ``automorphisms`` comes before.
+    A preorder in :data:`_LEADERS` is replayed from there, without
+    :func:`_transitions` or the automorphism test.  Otherwise the frames
+    stream as they are found, and a preorder of at most
+    :data:`_RECORDED_WORLDS` worlds is recorded only once its stream is
+    exhausted, so a stream closed early records nothing.
+    """
+    if up in _LEADERS:
+        frames, found = _LEADERS[up]
+        yield from found
+        yield frames, None
+        return
+    record = [] if len(up) <= _RECORDED_WORLDS else None
+    frames = 0
+    for frames, succ in enumerate(_transitions(up, down), 1):
+        if any(_permuted(succ, perm) < succ for perm in automorphisms):
+            continue  # an image under an automorphism comes first
+        if record is not None:
+            record.append((frames - 1, succ))
+        yield frames - 1, succ
+    if record is not None:
+        _LEADERS[up] = frames, tuple(record)
+    yield frames, None
+
+
 def _sweep(
     worlds: range, a: int, samples: int, seed: int, leaders: bool = False
 ) -> Iterator[tuple[int, BirelationalModel | None, list[tuple[int, ...]]]]:
@@ -323,7 +375,9 @@ def _sweep(
     preorder's world index, ``down`` masks and, when they fit in one batch,
     valuations are built once and shared by all of its frames; larger
     valuation lists are streamed again for each frame, so memory stays
-    bounded by the batch size.
+    bounded by the batch size.  With ``leaders``, a class-first
+    preorder's leaders come from :func:`_leader_succs`, which replays the
+    record an earlier exhausted leader stream left in :data:`_LEADERS`.
     """
     position = 0
     for n in worlds:
@@ -340,12 +394,17 @@ def _sweep(
                 size = len(ups) ** a  # valuations per frame
                 down = _transpose(up)
                 shared = list(product(ups, repeat=a)) if size <= MAX_BATCH else None
+                if leaders:
+                    succs = _leader_succs(up, down, automorphisms)
+                else:
+                    succs = enumerate(_transitions(up, down))
                 frames = 0
-                for succ in _transitions(up, down):
-                    offset = position + frames * size
-                    frames += 1
-                    if any(_permuted(succ, perm) < succ for perm in automorphisms):
-                        continue  # an image under an automorphism comes first
+                for k, succ in succs:
+                    if succ is None:  # a leader stream ends on the preorder's frame count
+                        frames = k
+                        break
+                    frames = k + 1
+                    offset = position + k * size
                     frame = BirelationalModel(labels, up, succ, {}, index=index, down=down)
                     if shared is not None:
                         yield offset, frame, shared

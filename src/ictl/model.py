@@ -57,7 +57,6 @@ __all__ = [
     "InvalidModelError",
     "RawModel",
     "load_model",
-    "close_preorder",
     "BirelationalModel",
     "build_model",
     "model_from_raw",
@@ -77,7 +76,6 @@ __all__ = [
     "is_upward_closed",
     "image",
     "iter_bits",
-    "is_isomorphic",
 ]
 
 
@@ -234,12 +232,6 @@ def load_model(document: dict | str) -> RawModel:
 
 # ---------------------------------------------------------------------------
 # Construction
-
-def close_preorder(n: int, edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    """Smallest reflexive-transitive relation on ``range(n)`` containing ``edges``."""
-    up = _close_masks(n, edges)
-    return frozenset((i, j) for i in range(n) for j in iter_bits(up[i]))
-
 
 def _close_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     """``up[i]``: the worlds reachable from ``i`` along ``edges``, ``i`` included.
@@ -593,23 +585,7 @@ def ensure_valid(m: BirelationalModel) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Structural comparison
-
-def is_isomorphic(a: BirelationalModel, b: BirelationalModel) -> bool:
-    """World-relabeling isomorphism respecting both relations and the valuation."""
-    if a.n != b.n or set(a.atoms) != set(b.atoms):
-        return False
-    from itertools import permutations
-
-    for perm in permutations(range(a.n)):
-        if (
-            _permuted(a.up, perm) == b.up
-            and _permuted(a.succ, perm) == b.succ
-            and all(_apply_perm(a.val[p], perm) == b.val.get(p, 0) for p in a.atoms)
-        ):
-            return True
-    return False
-
+# Renaming worlds
 
 def _apply_perm(mask: int, perm: Sequence[int]) -> int:
     """``mask`` with world ``i`` renamed ``perm[i]``."""

@@ -33,7 +33,7 @@ uses the fixpoint engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .model import BirelationalModel, ensure_valid, iter_bits, with_identity_preorder
 from .syntax import _IMP, Formula, compile_formulas, run
@@ -44,7 +44,6 @@ __all__ = [
     "lasso_is_path",
     "lasso_satisfies_until",
     "lasso_satisfies_release",
-    "enumerate_lassos",
     "lift_path",
     "operators",
     "oracle_denotation",
@@ -109,32 +108,6 @@ def lasso_satisfies_release(m: BirelationalModel, lasso: Lasso, a: int, b: int) 
         if a >> x & 1:
             return True
     return True  # b holds forever around the cycle
-
-
-def enumerate_lassos(m: BirelationalModel, start: str) -> Iterator[Lasso]:
-    """Every lasso from ``start`` whose stem-plus-cycle repeats no world.
-
-    Each distinct ultimately-periodic path has exactly one such
-    representation, so the stream is finite and duplicate-free; seriality
-    guarantees it is nonempty.  The depth-first walk keeps its own stack,
-    so a long path costs no recursion.
-    """
-    s = m.world_index(start)
-    stack = [s]
-    on_stack = {s: 0}
-    iters = [iter_bits(m.succ[s])]  # the successors still to try, per stack world
-    while iters:
-        y = next(iters[-1], -1)
-        if y < 0:
-            iters.pop()
-            del on_stack[stack.pop()]
-        elif y in on_stack:
-            k = on_stack[y]
-            yield Lasso(tuple(stack[:k]), tuple(stack[k:]))
-        else:
-            on_stack[y] = len(stack)
-            stack.append(y)
-            iters.append(iter_bits(m.succ[y]))
 
 
 def lift_path(m: BirelationalModel, w_prime: str, prefix: list[str]) -> list[str]:

@@ -10,6 +10,7 @@ SLOW = {
     "tests/test_gen.py::TestFrameEnumerator::test_every_four_world_frame",
     "tests/test_syntax.py::TestReference::test_parser_matches_reference",
     "tests/test_evidence.py::TestEvidenceMatchesReference::test_2000_world_cycle",
+    "tests/test_shared_nothing.py::test_sweep_columns_height_three",
 }
 
 

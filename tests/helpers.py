@@ -9,12 +9,13 @@ cross-check the engine against a second, dumber implementation.
 from __future__ import annotations
 
 import random
-from itertools import islice
+from itertools import islice, permutations
+from typing import Iterator
 
 from ictl.checker import CheckOutcome, UniversalFailure
 from ictl.fixtures import four_world_model
 from ictl.gen import GenParams, enumerate_models, random_model
-from ictl.model import BirelationalModel, model_to_document
+from ictl.model import BirelationalModel, _apply_perm, _permuted, iter_bits, model_to_document
 from ictl.oracle import (
     Lasso,
     lasso_is_path,
@@ -124,6 +125,49 @@ def all_prefixes(m: BirelationalModel, start: int, max_len: int):
                     if m.succ[path[-1]] >> y & 1:
                         nxt.append(path + [y])
         frontier = nxt
+
+
+# ---------------------------------------------------------------------------
+# References: every simple lasso, and isomorphism by trying every renaming
+
+def enumerate_lassos(m: BirelationalModel, start: str) -> Iterator[Lasso]:
+    """Every lasso from ``start`` whose stem-plus-cycle repeats no world.
+
+    Each distinct ultimately-periodic path has exactly one such
+    representation, so the stream is finite and duplicate-free; seriality
+    guarantees it is nonempty.  The depth-first walk keeps its own stack,
+    so a long path costs no recursion.
+    """
+    s = m.world_index(start)
+    stack = [s]
+    on_stack = {s: 0}
+    iters = [iter_bits(m.succ[s])]  # the successors still to try, per stack world
+    while iters:
+        y = next(iters[-1], -1)
+        if y < 0:
+            iters.pop()
+            del on_stack[stack.pop()]
+        elif y in on_stack:
+            k = on_stack[y]
+            yield Lasso(tuple(stack[:k]), tuple(stack[k:]))
+        else:
+            on_stack[y] = len(stack)
+            stack.append(y)
+            iters.append(iter_bits(m.succ[y]))
+
+
+def is_isomorphic(a: BirelationalModel, b: BirelationalModel) -> bool:
+    """World-relabeling isomorphism respecting both relations and the valuation."""
+    if a.n != b.n or set(a.atoms) != set(b.atoms):
+        return False
+    for perm in permutations(range(a.n)):
+        if (
+            _permuted(a.up, perm) == b.up
+            and _permuted(a.succ, perm) == b.succ
+            and all(_apply_perm(a.val[p], perm) == b.val.get(p, 0) for p in a.atoms)
+        ):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

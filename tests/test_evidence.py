@@ -20,7 +20,7 @@ from itertools import islice
 
 import pytest
 
-from helpers import witness_revalidates
+from helpers import enumerate_lassos, witness_revalidates
 from ictl import checker
 from ictl.checker import (
     CheckOutcome,
@@ -37,7 +37,6 @@ from ictl.model import BirelationalModel, build_model, complement, iter_bits
 from ictl.cli import main
 from ictl.oracle import (
     Lasso,
-    enumerate_lassos,
     lasso_is_path,
     lasso_satisfies_release,
     lasso_satisfies_until,

@@ -28,15 +28,14 @@ from ictl.gen import (
 from ictl.model import (
     BirelationalModel,
     _apply_perm,
-    close_preorder,
-    is_isomorphic,
+    _close_masks,
     iter_bits,
     model_to_document,
     pre_forall,
     validate_frame,
 )
 from ictl.syntax import atoms_of, compile_formulas, parse_formula, run_frame, subformulas
-from helpers import seeded_rng
+from helpers import is_isomorphic, seeded_rng
 from test_batch import PROVE_FORMULAS
 
 
@@ -182,6 +181,7 @@ class TestFrameEnumerator:
         # the first frame of a preorder comes out before its second is found
         up = self.FOUR_WORLD_PREORDERS["discrete"]
         monkeypatch.setattr(gen, "enumerate_preorders", lambda n: (up,) if n == 4 else ())
+        monkeypatch.setattr(gen, "_LEADERS", {})  # a replayed record would draw no frame
         drawn = []
         transitions = gen._transitions
 
@@ -396,7 +396,8 @@ class TestProductFrame:
             nk, ns, order, trans, atoms_at = random_product(rng)
             stages = [f"k{i}" for i in range(nk)]
             states = [f"s{i}" for i in range(ns)]
-            closed = close_preorder(nk, order)
+            up = _close_masks(nk, order)
+            closed = {(i, j) for i in range(nk) for j in iter_bits(up[i])}
             seen["cyclic"] += any((j, i) in closed for i, j in order if i != j)
             serial = {a for a, _ in trans} == set(range(ns))
             monotone = all(atoms_at[i, s] <= atoms_at[j, s] for i, j in closed for s in range(ns))
@@ -441,8 +442,8 @@ def random_product(rng):
     trans = [(a, b) for a in range(ns) for b in range(ns) if rng.random() < density]
     atoms_at = {(k, s): {x for x in "pq" if rng.random() < 0.5} for k in range(nk) for s in range(ns)}
     if rng.random() < 0.5:
-        closed = close_preorder(nk, order)
-        for i, j in sorted(closed):
+        up = _close_masks(nk, order)
+        for i, j in sorted((i, j) for i in range(nk) for j in iter_bits(up[i])):
             for s in range(ns):
                 atoms_at[j, s] |= atoms_at[i, s]
     return nk, ns, order, trans, atoms_at
@@ -736,6 +737,62 @@ class TestSweep:
         ]
         assert batches[0][1] is batches[3][1]
         assert sorted(v for _, _, batch in batches for v in batch) == list(product((0, 1), repeat=14))
+
+
+class TestLeaderRecord:
+    """``gen._LEADERS``: the leader frames of each preorder, recorded by the
+    first leader stream that runs to its end and replayed after it."""
+
+    @pytest.mark.parametrize("samples", [0, 5])
+    @pytest.mark.parametrize("atoms", [0, 1, 2])
+    @pytest.mark.parametrize("max_worlds", [0, 1, 2, 3])
+    def test_cold_equals_warm(self, monkeypatch, max_worlds, atoms, samples):
+        monkeypatch.setattr(gen, "_LEADERS", {})
+        cold = sweep(max_worlds, atoms, samples, leaders=True)
+        recorded = sum(len(found) for _, found in gen._LEADERS.values())
+        assert recorded == [0, 1, 18, 648][max_worlds]
+        assert sweep(max_worlds, atoms, samples, leaders=True) == cold
+
+    def test_searches_cold_equal_warm(self, monkeypatch):
+        monkeypatch.setattr(gen, "_LEADERS", {})
+        formulas = [parse_formula(text) for text in PROVE_FORMULAS]
+        cold = [summary(find_countermodel(f)) for f in formulas]
+        assert gen._LEADERS
+        assert [summary(find_countermodel(f)) for f in formulas] == cold
+
+    def test_a_stopped_stream_records_nothing(self, monkeypatch):
+        up = (0b001, 0b010, 0b100)  # three discrete worlds: 70 leaders of 343 frames
+        monkeypatch.setattr(gen, "enumerate_preorders", lambda n: (up,) if n == 3 else ())
+        monkeypatch.setattr(gen, "_LEADERS", {})
+        drawn = []
+        transitions = gen._transitions
+
+        def counted(order, down):
+            for succ in transitions(order, down):
+                drawn.append(succ)
+                yield succ
+
+        monkeypatch.setattr(gen, "_transitions", counted)
+        stream = gen._sweep(range(3, 4), 0, 0, 0, True)
+        assert len(list(islice(stream, 2))) == 2  # the second resumes the first's stream
+        stream.close()
+        assert gen._LEADERS == {}
+        cold = sweep(3, 0, 0, leaders=True)
+        assert list(gen._LEADERS) == [up]
+        assert gen._LEADERS[up][0] == len(drawn) - 2 == len(brute_force_frames(3, [up]))
+        assert len(gen._LEADERS[up][1]) == 70
+        drawn.clear()  # a second leader stream replays the record
+        assert sweep(3, 0, 0, leaders=True) == cold
+        assert drawn == []
+
+    def test_no_four_world_record(self, monkeypatch):
+        up = (0b0001, 0b0010, 0b0100, 0b1000)
+        monkeypatch.setattr(gen, "enumerate_preorders", lambda n: (up,) if n == 4 else ())
+        monkeypatch.setattr(gen, "_transitions", lambda order, down: iter([up, up[1:] + up[:1]]))
+        monkeypatch.setattr(gen, "_LEADERS", {})
+        batches = list(gen._sweep(range(4, 5), 0, 0, 0, True))
+        assert batches[-1] == (2, None, [])
+        assert gen._LEADERS == {}
 
 
 class TestFormulaGeneration:

@@ -17,7 +17,6 @@ from ictl.oracle import (
     _successors_within,
     _worlds_where,
     classical_denotation,
-    enumerate_lassos,
     exists_next_worlds,
     exists_release_worlds,
     exists_until_worlds,
@@ -29,7 +28,7 @@ from ictl.oracle import (
     oracle_denotation,
 )
 from ictl.syntax import _IMP, compile_formulas, parse_formula, run, subformulas
-from helpers import seeded_rng
+from helpers import enumerate_lassos, seeded_rng
 
 
 class TestOracleVerdicts:

@@ -166,6 +166,15 @@ def test_sweep_columns(memo):
     assert (wrong > 0) == (memo != "one per frame")
 
 
+def test_sweep_columns_height_three():
+    """The ``run_frame`` columns of every batch of the labelled sweep of
+    up to two worlds against the reference, on all 8,162 formulas of
+    height at most three over ``p`` and ``q``."""
+    sweep = gen._sweep(range(1, 3), 2, 0, 0)
+    battery = compile_formulas(enumerate_formulas(3, ["p", "q"]))
+    assert count_wrong(sweep, atom_names(2), battery, "one per frame") == (284, 0)
+
+
 @pytest.mark.parametrize("memo", ["one per frame", "keys ignore the right operand"])
 def test_split_frame_columns(memo):
     """The one-world frame with 14 atoms, whose 2**14 valuations the sweep
